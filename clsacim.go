@@ -154,8 +154,8 @@ type Config struct {
 	// Solver picks the duplication solver: "dp" (exact for the paper's
 	// Optimization Problem 1, default), "greedy", "minmax" (bottleneck
 	// objective, extension), "uniform" (even spread baseline), "none",
-	// "search" (schedule-aware annealing scored by the coarse
-	// simulator), or any name added through RegisterSolver.
+	// "search" (schedule-aware annealing scored by the Stage IV
+	// scheduler's makespan), or any name added through RegisterSolver.
 	Solver string `json:"solver,omitempty"`
 	// SolverBudget bounds the candidate evaluations of a scored solver
 	// such as "search" (0 = the solver's default;
@@ -392,6 +392,7 @@ func Compile(model *Model, cfg Config) (*Compiled, error) {
 	var sol mapping.Solution
 	var mapped *mapping.Mapping
 	var virtual *mapping.VirtualMapping
+	var stages *stageMemo
 	if f < plan.MinPEs {
 		if !cfg.WeightVirtualization {
 			return nil, fmt.Errorf("clsacim: %q needs %d PEs but the architecture has %d; "+
@@ -408,7 +409,7 @@ func Compile(model *Model, cfg Config) (*Compiled, error) {
 		sol = mapping.Solution{D: mapped.Dup, PEsNeeded: mapped.PEsUsed}
 	} else {
 		if scored {
-			sol, err = solveScored(cfg, g, plan, f, arch)
+			sol, stages, err = solveScored(cfg, g, plan, f, arch)
 		} else {
 			sol, err = solve(plan, f)
 		}
@@ -420,11 +421,11 @@ func Compile(model *Model, cfg Config) (*Compiled, error) {
 			return nil, fmt.Errorf("clsacim: applying mapping for %q: %w", model.Name, err)
 		}
 	}
-	setsPlan, err := sets.Determine(g, mapped, sets.Options{TargetSets: cfg.TargetSets})
+	setsPlan, err := stages.determine(g, mapped, cfg.TargetSets)
 	if err != nil {
 		return nil, fmt.Errorf("clsacim: stage I for %q: %w", model.Name, err)
 	}
-	depGraph, err := deps.Build(g, setsPlan)
+	depGraph, err := stages.build(g, setsPlan)
 	if err != nil {
 		return nil, fmt.Errorf("clsacim: stage II for %q: %w", model.Name, err)
 	}
@@ -521,21 +522,27 @@ func scoringMode(cfg Config, layers int) (ScheduleMode, error) {
 }
 
 // solveScored runs a schedule-aware duplication solver: the candidate
-// evaluation callback replays the real pipeline — mapping.Apply, Stage I
-// set determination, Stage II dependency build, and a coarse simulation
-// under the scoring mode — and returns the achieved makespan in cycles.
-// One sim.State is reused across all evaluations, so a warm evaluation
-// allocates only the candidate's Stage I-II artifacts.
-func solveScored(cfg Config, g *nn.Graph, plan *mapping.Plan, f int, arch cim.Config) (mapping.Solution, error) {
+// evaluation callback applies the candidate (mapping.Apply), takes its
+// Stage I-II artifacts from a per-compile memo, and returns the
+// makespan the Stage IV scheduler achieves under the scoring mode. A
+// candidate re-partitions only the layers whose set count its
+// duplication changes and re-derives only the dependency blocks
+// touching them, and the makespan-only scheduler pass reuses one
+// scratch, so an evaluation costs a small fraction of a full Stage
+// I-II plus simulation. The returned memo serves the winner's final
+// Stage I-II in Compile. The event simulator is not on this path; it
+// remains the oracle the scheduler's makespan is tested against.
+func solveScored(cfg Config, g *nn.Graph, plan *mapping.Plan, f int, arch cim.Config) (mapping.Solution, *stageMemo, error) {
 	fn, ok := mapping.LookupScored(cfg.Solver)
 	if !ok {
-		return mapping.Solution{}, fmt.Errorf("%w %q", ErrUnknownSolver, cfg.Solver)
+		return mapping.Solution{}, nil, fmt.Errorf("%w %q", ErrUnknownSolver, cfg.Solver)
 	}
 	mode, err := scoringMode(cfg, len(plan.Layers))
 	if err != nil {
-		return mapping.Solution{}, err
+		return mapping.Solution{}, nil, err
 	}
-	st := sim.NewState()
+	stages := &stageMemo{sets: sets.NewMemo(g, plan, sets.Options{TargetSets: cfg.TargetSets})}
+	var sc schedule.Scratch
 	score := func(d []int) (int64, error) {
 		sol, err := mapping.NewSolution(plan, d)
 		if err != nil {
@@ -545,28 +552,68 @@ func solveScored(cfg Config, g *nn.Graph, plan *mapping.Plan, f int, arch cim.Co
 		if err != nil {
 			return 0, err
 		}
-		setsPlan, err := sets.Determine(g, mapped, sets.Options{TargetSets: cfg.TargetSets})
+		setsPlan, err := stages.determine(g, mapped, cfg.TargetSets)
 		if err != nil {
 			return 0, err
 		}
-		dg, err := deps.Build(g, setsPlan)
+		b, err := stages.builder(setsPlan)
 		if err != nil {
 			return 0, err
 		}
-		var edge schedule.EdgeCostFn
+		dg, err := b.BuildTransient(setsPlan)
+		if err != nil {
+			return 0, err
+		}
+		var opt schedule.Options
 		if mode.Window() > 1 {
 			// Mirrors schedOptions: edge costs engage only under
 			// cross-layer overlap, so the search optimizes exactly what
 			// the final schedule will be charged.
-			edge = edgeCostFn(arch, mapped)
+			opt.EdgeCost = edgeCostFn(arch, mapped)
 		}
-		res, err := st.RunCoarse(arch, dg, mapped, mode.policy(), sim.Options{Edge: edge})
-		if err != nil {
-			return 0, err
-		}
-		return res.Makespan, nil
+		return sc.Makespan(dg, mode.policy(), opt)
 	}
-	return fn(plan, f, score, mapping.ScoredOptions{Seed: cfg.SolverSeed, Budget: cfg.SolverBudget})
+	sol, err := fn(plan, f, score, mapping.ScoredOptions{Seed: cfg.SolverSeed, Budget: cfg.SolverBudget})
+	return sol, stages, err
+}
+
+// stageMemo carries Stage I and II across the duplication vectors of
+// one compile (sets.Memo, deps.Builder). A nil *stageMemo runs the
+// one-shot sets.Determine and deps.Build.
+type stageMemo struct {
+	sets *sets.Memo
+	deps *deps.Builder
+}
+
+func (s *stageMemo) determine(g *nn.Graph, mapped *mapping.Mapping, targetSets int) (*sets.Plan, error) {
+	if s == nil {
+		return sets.Determine(g, mapped, sets.Options{TargetSets: targetSets})
+	}
+	return s.sets.Determine(mapped)
+}
+
+func (s *stageMemo) build(g *nn.Graph, plan *sets.Plan) (*deps.Graph, error) {
+	if s == nil {
+		return deps.Build(g, plan)
+	}
+	b, err := s.builder(plan)
+	if err != nil {
+		return nil, err
+	}
+	return b.Build(plan)
+}
+
+// builder returns the Stage II builder, compiling it from the first
+// plan it sees.
+func (s *stageMemo) builder(plan *sets.Plan) (*deps.Builder, error) {
+	if s.deps == nil {
+		b, err := deps.NewBuilder(plan)
+		if err != nil {
+			return nil, err
+		}
+		s.deps = b
+	}
+	return s.deps, nil
 }
 
 // PEmin returns the minimum PE count storing every weight once.

@@ -3,11 +3,11 @@ package clsacim
 import (
 	"container/list"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -222,6 +222,12 @@ func normalizeCfg(cfg Config) (Config, int) {
 	// apply, the scoring mode is canonicalized to its wire name (default
 	// "xinf") so aliases share an entry.
 	if cfg.WeightDuplication && mapping.IsScored(cfg.Solver) {
+		// The builtin search reads budget 0 as its default, so the
+		// explicit default shares that entry. A registered scored solver
+		// may read 0 differently and keeps its own key.
+		if cfg.Solver == "search" && cfg.SolverBudget == mapping.DefaultSearchBudget {
+			cfg.SolverBudget = 0
+		}
 		if cfg.SolverMode == "" {
 			cfg.SolverMode = ModeCrossLayer.wireName()
 		} else if m, err := ParseMode(cfg.SolverMode); err == nil {
@@ -241,14 +247,37 @@ func normalizeCfg(cfg Config) (Config, int) {
 	return cfg, 0
 }
 
-// cacheKey canonicalizes a (model, config) pair via normalizeCfg.
-func cacheKey(model string, cfg Config) (string, error) {
-	cfg, _ = normalizeCfg(cfg)
-	b, err := json.Marshal(cfg)
-	if err != nil {
-		return "", fmt.Errorf("clsacim: encoding cache key: %w", err)
+// cacheKey is the compile-cache key of model under a normalized config:
+// the model name and every Config field, grouped by type, strings
+// quoted. It is appended by hand rather than marshalled through
+// encoding/json: it sits on every request's path, and the hand-written
+// form needs no reflection. Non-finite floats are rejected, as the
+// JSON encoding did.
+func cacheKey(model string, norm Config) (string, error) {
+	b := make([]byte, 0, 160)
+	b = append(b, model...)
+	b = append(b, 0)
+	for _, v := range [...]int64{int64(norm.PERows), int64(norm.PECols)} {
+		b = strconv.AppendInt(append(b, ','), v, 10)
 	}
-	return model + "\x00" + string(b), nil
+	for _, f := range [...]float64{norm.TMVMNanos, norm.NoCCyclesPerHop, norm.GPEUCyclesPerKElem,
+		norm.EnergyPerMVMNanoJ, norm.EnergyPerWriteNanoJ} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return "", fmt.Errorf("clsacim: encoding cache key: unsupported value %v", f)
+		}
+		b = strconv.AppendFloat(append(b, ','), f, 'g', -1, 64)
+	}
+	for _, v := range [...]int64{int64(norm.ExtraPEs), int64(norm.TotalPEs), int64(norm.SolverBudget),
+		int64(norm.TargetSets), int64(norm.WeightBits), int64(norm.PEsPerTile),
+		norm.WriteCyclesPerCrossbar, int64(norm.WriteParallelism)} {
+		b = strconv.AppendInt(append(b, ','), v, 10)
+	}
+	b = strconv.AppendUint(append(b, ','), norm.SolverSeed, 10)
+	b = strconv.AppendBool(append(b, ','), norm.WeightDuplication)
+	b = strconv.AppendBool(append(b, ','), norm.WeightVirtualization)
+	b = strconv.AppendQuote(append(b, ','), norm.Solver)
+	b = strconv.AppendQuote(append(b, ','), norm.SolverMode)
+	return string(b), nil
 }
 
 // compile returns the cached compilation of (m, cfg), compiling at most
@@ -273,11 +302,10 @@ func (e *Engine) compileCounted(ctx context.Context, m *Model, cfg Config) (*Com
 		return nil, false, err
 	}
 	norm, extra := normalizeCfg(cfg)
-	b, err := json.Marshal(norm)
+	key, err := cacheKey(m.Name, norm)
 	if err != nil {
-		return nil, false, fmt.Errorf("clsacim: encoding cache key: %w", err)
+		return nil, false, err
 	}
-	key := m.Name + "\x00" + string(b)
 	view := func(c *Compiled) *Compiled {
 		if extra > 0 && c != nil {
 			return c.withExtraPEs(extra)
@@ -685,12 +713,11 @@ func (e *Engine) EvaluateBatch(ctx context.Context, reqs []Request) ([]BatchResu
 		cfg := e.effective(req)
 		for slot, c := range [2]Config{baselineCfg(cfg), cfg} {
 			norm, extra := normalizeCfg(c)
-			b, err := json.Marshal(norm)
+			key, err := cacheKey(m.Name, norm)
 			if err != nil {
-				plan[i].err = fmt.Errorf("clsacim: encoding cache key: %w", err)
+				plan[i].err = err
 				break
 			}
-			key := m.Name + "\x00" + string(b)
 			j, ok := jobs[key]
 			if !ok {
 				j = &compileJob{m: m, cfg: norm}

@@ -1007,3 +1007,48 @@ func TestEvaluateBatchMixedDeadlines(t *testing.T) {
 		t.Errorf("re-run recompiled: %d -> %d", before, after)
 	}
 }
+
+// The compile-cache key is written field by field, so it must cover
+// every Config field: changing any one of them alone must change the
+// key. A field added to Config but not to cacheKey fails here.
+func TestCacheKeyCoversConfig(t *testing.T) {
+	base, err := cacheKey("m", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		var cfg Config
+		f := reflect.ValueOf(&cfg).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(3)
+		case reflect.Uint64:
+			f.SetUint(3)
+		case reflect.Float64:
+			f.SetFloat(0.5)
+		case reflect.String:
+			f.SetString("x")
+		default:
+			t.Fatalf("Config.%s has unhandled kind %v", typ.Field(i).Name, f.Kind())
+		}
+		key, err := cacheKey("m", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key == base {
+			t.Errorf("cache key ignores Config.%s", typ.Field(i).Name)
+		}
+	}
+	// Quoting keeps string fields from running into each other.
+	a, _ := cacheKey("m", Config{Solver: `a",`, SolverMode: "b"})
+	b, _ := cacheKey("m", Config{Solver: "a", SolverMode: `",b`})
+	if a == b {
+		t.Error("string fields collide in the cache key")
+	}
+	if _, err := cacheKey("m", Config{TMVMNanos: math.NaN()}); err == nil {
+		t.Error("NaN config encoded into a cache key")
+	}
+}

@@ -4,10 +4,13 @@
 // cross-layer scheduling the makespan is set by critical-path and
 // replica-contention structure that objective cannot see. The "search"
 // solver closes the gap: a seeded simulated-annealing walk over
-// duplication vectors in which every candidate is scored by running
-// Stages I-IV and the coarse simulator under the request's scheduling
-// mode. The dp solution seeds the walk, so search is never worse than
-// dp on the metric that is actually reported.
+// duplication vectors in which every candidate is scored by the
+// makespan Stages I-IV achieve under the request's scheduling mode.
+// Stage I-II are memoized across candidates and the score comes from a
+// makespan-only scheduler pass; the event simulator remains the oracle
+// that makespan is tested against. The dp solution seeds the walk, so
+// search is never worse than dp on the metric that is actually
+// reported.
 //
 // Run with: go run ./examples/solver_search
 package main

@@ -32,7 +32,8 @@ const SolverAblationSeed = 1
 // scheduling modes under wdup+x: the paper's exact dp (the proxy
 // optimum of sum(t_i/d_i)), the objective-blind uniform spread, the
 // bottleneck-aware minmax extension, and the schedule-aware search
-// solver scored by the coarse simulator. The search runs with its
+// solver scored by the Stage IV scheduler's makespan over memoized
+// Stage I-II. The search runs with its
 // default budget and a fixed seed; dp is measured first in every
 // (model, mode) cell so GainVsDP is defined for all rows. A nil models
 // slice sweeps the case-study model plus the Table II zoo.

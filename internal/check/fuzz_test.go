@@ -20,8 +20,14 @@ import (
 // map → Stage I/II) and executed by BOTH engines — the analytic Stage IV
 // list scheduler and the event-driven simulator — under a fuzzed policy
 // and mapping. Every timeline must pass the independent invariant
-// checker, and the two engines must agree item-for-item. Any divergence
+// checker, and the two engines must agree item-for-item. The
+// makespan-only scheduler pass (the scored solvers' cost model) and the
+// simulator's coarse run must report that same makespan. Any divergence
 // is a bug in one of the three subsystems.
+//
+// The window byte also selects the dependency-edge cost: idealized, a
+// per-layer-pair latency (NoC-like), or a volume-proportional one
+// (GPEU-like).
 //
 // The seed corpus in testdata/fuzz/FuzzScheduleVsSim covers both policy
 // extremes, bounded windows, duplication on/off, and each Stage I
@@ -33,11 +39,15 @@ func FuzzScheduleVsSim(f *testing.F) {
 	f.Add(int64(3), byte(5), byte(2), byte(8), byte(4))
 	f.Add(int64(17), byte(7), byte(3), byte(5), byte(1))
 	f.Add(int64(42), byte(3), byte(5), byte(11), byte(3))
+	f.Add(int64(5), byte(6), byte(6), byte(7), byte(2))
+	f.Add(int64(9), byte(4), byte(14), byte(0), byte(4))
+	f.Add(int64(23), byte(5), byte(15), byte(9), byte(1))
 	f.Fuzz(func(t *testing.T, seed int64, layers, window, extra, gran byte) {
 		maxBase := 2 + int(layers)%6 // [2, 7] base layers
 		k := int(window) % 6         // 0 → xinf, else xK
 		extraPEs := int(extra) % 12  // duplication headroom
 		granularity := []int{1, 3, 9, 27, sets.FineGranularity}[int(gran)%5]
+		edge := edgeCosts[int(window)/6%len(edgeCosts)]
 
 		g, err := models.RandomCNN(models.RandomOptions{Seed: seed, MaxBaseLayers: maxBase, MaxInput: 24})
 		if err != nil {
@@ -76,26 +86,46 @@ func FuzzScheduleVsSim(f *testing.F) {
 		if k > 0 {
 			p = schedule.Windowed(k)
 		}
-		tl, err := schedule.Schedule(dg, p, schedule.Options{})
+		tl, err := schedule.Schedule(dg, p, schedule.Options{EdgeCost: edge})
 		if err != nil {
 			t.Fatalf("schedule: %v", err)
 		}
-		if err := check.Timeline(m, dg, p, tl, check.Options{}); err != nil {
+		if err := check.Timeline(m, dg, p, tl, check.Options{EdgeCost: edge}); err != nil {
 			t.Fatalf("scheduled timeline rejected: %v", err)
 		}
 
 		arch := cim.Default()
 		arch.PE = pe
 		arch.NumPEs = plan.MinPEs + extraPEs
-		res, err := sim.RunOpt(arch, dg, m, p, sim.Options{})
+		res, err := sim.RunOpt(arch, dg, m, p, sim.Options{Edge: edge})
 		if err != nil {
 			t.Fatalf("sim: %v", err)
 		}
-		if err := check.Timeline(m, dg, p, res.Timeline, check.Options{}); err != nil {
+		if err := check.Timeline(m, dg, p, res.Timeline, check.Options{EdgeCost: edge}); err != nil {
 			t.Fatalf("simulated timeline rejected: %v", err)
 		}
 		if !tl.Equal(res.Timeline) {
 			t.Fatalf("scheduler and simulator disagree (makespan %d vs %d)", tl.Makespan, res.Makespan)
 		}
+
+		var sc schedule.Scratch
+		pass, err := sc.Makespan(dg, p, schedule.Options{EdgeCost: edge})
+		if err != nil {
+			t.Fatalf("makespan pass: %v", err)
+		}
+		coarse, err := sim.NewState().RunCoarse(arch, dg, m, p, sim.Options{Edge: edge})
+		if err != nil {
+			t.Fatalf("coarse sim: %v", err)
+		}
+		if pass != tl.Makespan || coarse.Makespan != tl.Makespan {
+			t.Fatalf("makespans disagree: pass %d, Schedule %d, RunCoarse %d", pass, tl.Makespan, coarse.Makespan)
+		}
 	})
+}
+
+// edgeCosts are the dependency-edge cost models the fuzzer draws from.
+var edgeCosts = []schedule.EdgeCostFn{
+	nil,
+	func(pred deps.SetRef, toLayer int) int64 { return int64((pred.Layer*7 + toLayer*3) % 5) },
+	func(pred deps.SetRef, toLayer int) int64 { return int64(pred.Vol / 64) },
 }

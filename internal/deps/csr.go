@@ -38,23 +38,23 @@ type CSR struct {
 }
 
 // assembleCSR concatenates the per-layer edge streams (already sorted
-// and deduplicated per set) into the flat arrays. The concatenation is
-// positional in plan-layer order, so the result does not depend on the
-// order the layers were built in; successors are filled by walking
-// consumers in flat order, which sorts them.
-func assembleCSR(plan *sets.Plan, layerOff []int32, results []layerEdges) *CSR {
+// and deduplicated per set) into the flat arrays of c, reusing their
+// capacity (a fresh CSR allocates each array once). The concatenation
+// is positional in plan-layer order, so the result does not depend on
+// the order the layers were built in; successors are filled by walking
+// consumers in flat order, which sorts them. Memoized streams (a
+// Builder's) are moved onto layerOff by rb; a one-shot Build passes
+// nil.
+func assembleCSR(plan *sets.Plan, layerOff []int32, results []layerEdges, rb *rebase, c *CSR) *CSR {
 	numLayers := len(plan.Layers)
 	total := int(layerOff[numLayers])
-	c := &CSR{
-		LayerOff: layerOff,
-		SetLayer: make([]int32, total),
-		Cycles:   make([]int64, total),
-	}
+	setLayer := resize(c.SetLayer, total)
+	cycles := resize(c.Cycles, total)
 	for li := range plan.Layers {
 		for si, set := range plan.Layers[li].Sets {
 			i := layerOff[li] + int32(si)
-			c.SetLayer[i] = int32(li)
-			c.Cycles[i] = set.Cycles
+			setLayer[i] = int32(li)
+			cycles[i] = set.Cycles
 		}
 	}
 
@@ -62,46 +62,64 @@ func assembleCSR(plan *sets.Plan, layerOff []int32, results []layerEdges) *CSR {
 	for li := range results {
 		edges += len(results[li].pred)
 	}
-	c.PredOff = make([]int32, total+1)
-	c.Pred = make([]int32, 0, edges)
-	c.PredVol = make([]int32, 0, edges)
-	succCount := make([]int32, total)
+	predOff := resize(c.PredOff, total+1)
+	pred := resize(c.Pred, edges)[:0]
+	predVol := resize(c.PredVol, edges)[:0]
+	// succOff[p+1] first counts p's successors; the prefix sum below
+	// turns the counts into offsets.
+	succOff := resize(c.SuccOff, total+1)
+	clear(succOff)
 	id := 0
 	for li := range results {
 		le := &results[li]
-		base := int32(len(c.Pred))
+		base := int32(len(pred))
 		for si := 0; si+1 < len(le.setOff); si++ {
-			c.PredOff[id] = base + le.setOff[si]
+			predOff[id] = base + le.setOff[si]
 			id++
 		}
-		c.Pred = append(c.Pred, le.pred...)
-		c.PredVol = append(c.PredVol, le.vol...)
-		for _, p := range le.pred {
-			succCount[p]++
+		if rb != nil {
+			pred = rb.appendPred(pred, le, li, layerOff)
+		} else {
+			pred = append(pred, le.pred...)
+		}
+		predVol = append(predVol, le.vol...)
+		for _, p := range pred[base:] {
+			succOff[p+1]++
 		}
 	}
-	c.PredOff[total] = int32(len(c.Pred))
+	predOff[total] = int32(len(pred))
 
-	c.SuccOff = make([]int32, total+1)
-	var off int32
-	for i, n := range succCount {
-		c.SuccOff[i] = off
-		off += n
+	for i := 1; i <= total; i++ {
+		succOff[i] += succOff[i-1]
 	}
-	c.SuccOff[total] = off
-	c.Succ = make([]int32, edges)
-	c.SuccVol = make([]int32, edges)
-	cursor := succCount // reuse: rewound to per-set write positions
-	copy(cursor, c.SuccOff[:total])
+	succ := resize(c.Succ, edges)
+	succVol := resize(c.SuccVol, edges)
+	// succOff[p] serves as p's write cursor, ending at p+1's offset;
+	// shifting the array back by one restores the offsets.
 	for i := int32(0); i < int32(total); i++ {
-		for e := c.PredOff[i]; e < c.PredOff[i+1]; e++ {
-			p := c.Pred[e]
-			c.Succ[cursor[p]] = i
-			c.SuccVol[cursor[p]] = c.PredVol[e]
-			cursor[p]++
+		for e := predOff[i]; e < predOff[i+1]; e++ {
+			p := pred[e]
+			o := succOff[p]
+			succ[o] = i
+			succVol[o] = predVol[e]
+			succOff[p] = o + 1
 		}
 	}
+	copy(succOff[1:], succOff[:total])
+	succOff[0] = 0
+	*c = CSR{LayerOff: layerOff, SetLayer: setLayer, Cycles: cycles,
+		PredOff: predOff, Pred: pred, PredVol: predVol,
+		SuccOff: succOff, Succ: succ, SuccVol: succVol}
 	return c
+}
+
+// resize returns s with length n, reusing its backing array when large
+// enough (contents are unspecified; callers overwrite or clear).
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // ID returns the flat id of set si of layer li.

@@ -21,6 +21,9 @@
 // CSR arrays directly — no per-set intermediate slices. The merge is
 // positional (results land in per-layer slots concatenated in plan
 // order), so the CSR output is byte-identical at any worker count.
+// Builder (memo.go) runs the same per-layer kernel for a scored
+// solver's many candidate plans, memoizing each layer's stream under
+// the set grids it depends on.
 package deps
 
 import (
@@ -103,14 +106,7 @@ type buildScratch struct {
 // the CSR, keeping the output deterministic regardless of parallelism.
 func BuildOpt(g *nn.Graph, plan *sets.Plan, opt Options) (*Graph, error) {
 	nl := len(plan.Layers)
-	layerOff := make([]int32, nl+1)
-	total := 0
-	for li := range plan.Layers {
-		layerOff[li] = int32(total)
-		total += len(plan.Layers[li].Sets)
-	}
-	layerOff[nl] = int32(total)
-
+	layerOff := layerOffsets(plan, nil)
 	results := make([]layerEdges, nl)
 	errs := make([]error, nl)
 	workers := opt.Workers
@@ -149,38 +145,77 @@ func BuildOpt(g *nn.Graph, plan *sets.Plan, opt Options) (*Graph, error) {
 			return nil, err
 		}
 	}
-	return &Graph{Plan: plan, CSR: assembleCSR(plan, layerOff, results)}, nil
+	return &Graph{Plan: plan, CSR: assembleCSR(plan, layerOff, results, nil, new(CSR))}, nil
 }
 
-// buildLayer computes the dependency edges of every set of layer li.
-// The layer's receptive-field transform and backward routes are
-// compiled once; each route's axis chains are then evaluated once per
-// consumer grid row and column (all transforms act on H, W, and C
-// independently, and sets are grid cells spanning the full channel
-// depth), so the per-set loop is pure table lookup. Edges come out
-// sorted by flat predecessor id with duplicates merged at maximum
-// volume (a set can be reached over several routes), matching the
-// recursive formulation exactly.
+// layerOffsets returns the flat id of every layer's first set, with the
+// total set count appended, reusing buf when large enough.
+func layerOffsets(plan *sets.Plan, buf []int32) []int32 {
+	nl := len(plan.Layers)
+	layerOff := resize(buf, nl+1)
+	total := 0
+	for li := range plan.Layers {
+		layerOff[li] = int32(total)
+		total += len(plan.Layers[li].Sets)
+	}
+	layerOff[nl] = int32(total)
+	return layerOff
+}
+
+// buildLayer computes the dependency edges of every set of layer li:
+// its routes are compiled into the scratch, then emitted.
 func buildLayer(plan *sets.Plan, li int, layerOff []int32, sc *buildScratch) (layerEdges, error) {
-	ls := &plan.Layers[li]
-	node := ls.Group.Node
+	lc, err := compileLayer(plan, li, sc.routes[:0])
+	if err != nil {
+		return layerEdges{}, err
+	}
+	sc.routes = lc.routes
+	return lc.emit(plan, li, layerOff, sc)
+}
+
+// layerCode is the set-grid-independent part of one consumer layer's
+// Stage II: its receptive-field transform and its compiled backward
+// routes. It depends on the plan only through the layer's node and
+// ByNode.
+type layerCode struct {
+	node   *nn.Node
+	ifm    ifmXform
+	routes []route
+}
+
+// compileLayer compiles layer li's receptive-field transform and
+// backward routes, appending the routes to buf.
+func compileLayer(plan *sets.Plan, li int, buf []route) (layerCode, error) {
+	node := plan.Layers[li].Group.Node
 	ifm, err := compileIFM(node)
 	if err != nil {
-		return layerEdges{}, fmt.Errorf("deps: %v set 0: %w", node, err)
+		return layerCode{}, fmt.Errorf("deps: %v set 0: %w", node, err)
 	}
-	sc.routes, err = compileRoutes(node.Inputs[0], plan, sc.routes[:0])
+	routes, err := compileRoutes(node.Inputs[0], plan, buf)
 	if err != nil {
-		return layerEdges{}, fmt.Errorf("deps: %v: %w", node, err)
+		return layerCode{}, fmt.Errorf("deps: %v: %w", node, err)
 	}
+	return layerCode{node: node, ifm: ifm, routes: routes}, nil
+}
+
+// emit computes the dependency edges of every set of layer li. Each
+// route's axis chains are evaluated once per consumer grid row and
+// column (all transforms act on H, W, and C independently, and sets
+// are grid cells spanning the full channel depth), so the per-set loop
+// is pure table lookup. Edges come out sorted by flat predecessor id
+// with duplicates merged at maximum volume (a set can be reached over
+// several routes), matching the recursive formulation exactly.
+func (lc *layerCode) emit(plan *sets.Plan, li int, layerOff []int32, sc *buildScratch) (layerEdges, error) {
+	ls := &plan.Layers[li]
 	if ls.GH*ls.GW != len(ls.Sets) {
-		return layerEdges{}, fmt.Errorf("deps: %v: %d sets on a %dx%d grid", node, len(ls.Sets), ls.GH, ls.GW)
+		return layerEdges{}, fmt.Errorf("deps: %v: %d sets on a %dx%d grid", lc.node, len(ls.Sets), ls.GH, ls.GW)
 	}
-	if len(sc.tabs) < len(sc.routes) {
-		sc.tabs = append(sc.tabs, make([]routeTab, len(sc.routes)-len(sc.tabs))...)
+	if len(sc.tabs) < len(lc.routes) {
+		sc.tabs = append(sc.tabs, make([]routeTab, len(lc.routes)-len(sc.tabs))...)
 	}
 	ntabs := 0
-	for ri := range sc.routes {
-		if fillTab(&sc.tabs[ntabs], plan, &ifm, &sc.routes[ri], ls, layerOff) {
+	for ri := range lc.routes {
+		if fillTab(&sc.tabs[ntabs], plan, &lc.ifm, &lc.routes[ri], ls, layerOff) {
 			ntabs++
 		}
 	}

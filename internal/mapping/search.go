@@ -9,11 +9,14 @@ import (
 // seeded simulated annealing over per-layer duplication vectors, scored
 // by the makespan the scheduler actually achieves instead of the
 // idealized sum(t_i/d_i) proxy of Optimization Problem 1. The score
-// comes from a caller-supplied ScoreFunc that runs the real Stage I-IV
-// pipeline (set determination, dependency build, coarse simulation) on
-// each candidate — the compile pipeline provides it, closing over the
-// graph, the Stage I granularity, and the scheduling mode under
-// optimization.
+// comes from a caller-supplied ScoreFunc that prices each candidate
+// with the real Stage I-IV pipeline — the compile pipeline provides
+// it, closing over the graph, the Stage I granularity, and the
+// scheduling mode under optimization. Its Stage I-II are memoized per
+// compile (a move re-derives only the layers whose set count changes
+// and the dependency blocks touching them), and the score is the
+// makespan of a Stage IV pass that materializes no timeline; the event
+// simulator remains the oracle that makespan is tested against.
 
 // ScoreFunc scores one candidate duplication vector d (plan-layer
 // order, every d_i >= 1, sum(c_i*d_i) <= F enforced by the caller of
@@ -43,11 +46,12 @@ type ScoredOptions struct {
 type ScoredFunc func(plan *Plan, F int, score ScoreFunc, opt ScoredOptions) (Solution, error)
 
 // DefaultSearchBudget is the evaluation budget used when
-// ScoredOptions.Budget is unset. Each evaluation re-runs Stage I-II and
-// a coarse simulation (single-digit to tens of milliseconds per model),
-// so the default keeps a cold "search" compile around a second — small
-// enough for interactive serving, large enough to improve on the dp
-// seed on most models.
+// ScoredOptions.Budget is unset. The compile pipeline prices an
+// evaluation incrementally — memoized Stage I-II plus a makespan-only
+// scheduler pass, a fraction of a millisecond for tinyyolov4 at 26 sets
+// — so the default keeps a cold "search" compile within a few times a
+// plain compile: small enough for interactive serving, large enough to
+// improve on the dp seed on most models.
 const DefaultSearchBudget = 48
 
 // searchRNG is a splitmix64 generator: tiny, fast, and fully

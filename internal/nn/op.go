@@ -562,7 +562,14 @@ func (o *Flatten) InferShape(in []tensor.Shape) (tensor.Shape, error) {
 
 // IsBase reports whether op executes on processing elements (Conv2D or
 // Dense), i.e. is a base layer in the paper's partitioning (§III-A).
+// BaseOp is sealed (its marker method is unexported), so its
+// implementers are exactly the cases below; a type switch over them
+// is cheaper than the interface assertion, which every inlined call
+// site backs with its own runtime type cache.
 func IsBase(op Op) bool {
-	_, ok := op.(BaseOp)
-	return ok
+	switch op.(type) {
+	case *Conv2D, *DepthwiseConv2D, *Dense:
+		return true
+	}
+	return false
 }

@@ -170,13 +170,22 @@ func TestMiscInferShapes(t *testing.T) {
 }
 
 func TestIsBase(t *testing.T) {
-	if !IsBase(&Conv2D{}) || !IsBase(&Dense{}) {
-		t.Error("Conv2D/Dense must be base layers")
+	if !IsBase(&Conv2D{}) || !IsBase(&DepthwiseConv2D{}) || !IsBase(&Dense{}) {
+		t.Error("Conv2D/DepthwiseConv2D/Dense must be base layers")
 	}
 	for _, op := range []Op{&MaxPool{}, &Pad{}, &Concat{}, &Add{}, &UpSample{}, &Slice{},
 		&Flatten{}, &BatchNorm{}, &BiasAdd{}, &Activation{}, &AvgPool{}, &Input{}} {
 		if IsBase(op) {
 			t.Errorf("%v misclassified as base", op.Kind())
+		}
+	}
+	// IsBase enumerates the implementers of the sealed BaseOp interface;
+	// the assertion itself is the oracle.
+	for _, op := range []Op{&Conv2D{}, &DepthwiseConv2D{}, &Dense{}, &MaxPool{}, &Pad{}, &Concat{},
+		&Add{}, &UpSample{}, &Slice{}, &Flatten{}, &BatchNorm{}, &BiasAdd{}, &Activation{},
+		&AvgPool{}, &Input{}} {
+		if _, ok := op.(BaseOp); IsBase(op) != ok {
+			t.Errorf("IsBase(%v) = %v, BaseOp assertion says %v", op.Kind(), IsBase(op), ok)
 		}
 	}
 }

@@ -28,6 +28,7 @@ package schedule
 
 import (
 	"fmt"
+	"sync"
 
 	"clsacim/internal/deps"
 )
@@ -58,39 +59,88 @@ type Options struct {
 // serializes layers entirely at window 1 and imposes nothing at
 // Unbounded.
 func Schedule(dg *deps.Graph, p Policy, opt Options) (*Timeline, error) {
+	if err := checkInputs(dg, p); err != nil {
+		return nil, err
+	}
+	t := NewTimeline(dg, p)
+	sc := scratchPool.Get().(*Scratch)
+	t.Makespan = sc.place(dg, p, opt.EdgeCost, t)
+	scratchPool.Put(sc)
+	if opt.Debug {
+		if err := t.Validate(dg, opt); err != nil {
+			return nil, fmt.Errorf("schedule: debug validation: %w", err)
+		}
+	}
+	return t, nil
+}
+
+// scratchPool lends Schedule the placement loop's scratch, so a
+// materialized schedule allocates only its Timeline.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// Scratch is the reusable state of the placement loop: per-set end
+// times, the admission prefix, and per-replica cursors. It is grown,
+// never shrunk, so a warm Scratch makes no allocations. A Scratch is
+// not safe for concurrent use.
+type Scratch struct {
+	end, prefixEnd, ready []int64
+}
+
+// Makespan returns Schedule(dg, p, opt).Makespan without materializing
+// the timeline: the same placement loop runs with set end times kept in
+// s only. It is the cost model of the scored duplication solvers; the
+// event simulator (package sim) stays its independent oracle.
+// Options.Debug is rejected, since there is no timeline to validate.
+func (s *Scratch) Makespan(dg *deps.Graph, p Policy, opt Options) (int64, error) {
+	if opt.Debug {
+		return 0, fmt.Errorf("schedule: makespan pass cannot validate (no timeline); use Schedule")
+	}
+	if err := checkInputs(dg, p); err != nil {
+		return 0, err
+	}
+	return s.place(dg, p, opt.EdgeCost, nil), nil
+}
+
+func checkInputs(dg *deps.Graph, p Policy) error {
 	if p == nil {
-		return nil, fmt.Errorf("schedule: nil policy")
+		return fmt.Errorf("schedule: nil policy")
 	}
 	if dg == nil || dg.CSR == nil {
-		return nil, fmt.Errorf("schedule: dependency graph has no CSR (build it with deps.Build)")
+		return fmt.Errorf("schedule: dependency graph has no CSR (build it with deps.Build)")
 	}
+	return nil
+}
+
+// place is the Stage IV placement loop shared by Schedule and
+// Makespan. It returns the makespan; set end times go to s.end, and
+// also to t's items with the activity accounting when t is non-nil.
+func (s *Scratch) place(dg *deps.Graph, p Policy, edgeCost EdgeCostFn, t *Timeline) int64 {
 	csr := dg.CSR
-	t := NewTimeline(dg, p)
 	k := p.Window()
 	nl := len(dg.Plan.Layers)
+	s.end = grow(s.end, csr.NumSets())
+	s.prefixEnd = grow(s.prefixEnd, nl+1)
+	end, prefixEnd := s.end, s.prefixEnd
 	// prefixEnd[i] is the max end over layers [0, i): the admission
 	// gate of layer li is prefixEnd[li-k+1].
-	prefixEnd := make([]int64, nl+1)
+	prefixEnd[0] = 0
 	// At window 1 with idealized edges every predecessor (always in an
 	// earlier layer) finishes no later than the gate, so the dependency
 	// scan is provably redundant.
-	skipDeps := k == 1 && opt.EdgeCost == nil
-	var ready []int64
+	skipDeps := k == 1 && edgeCost == nil
+	var makespan int64
 	for li, ls := range dg.Plan.Layers {
 		d := ls.Group.Dup
 		var gate int64
 		if k < nl && li >= k {
 			gate = prefixEnd[li-k+1]
 		}
-		if cap(ready) < d {
-			ready = make([]int64, d)
-		}
-		ready = ready[:d]
+		s.ready = grow(s.ready, d)
+		ready := s.ready
 		for i := range ready {
 			ready[i] = gate
 		}
 		base := int(csr.LayerOff[li])
-		active := t.ReplicaActive[li]
 		var layerEnd, layerActive int64
 		for si := 0; si < len(ls.Sets); si++ {
 			id := base + si
@@ -98,40 +148,44 @@ func Schedule(dg *deps.Graph, p Policy, opt Options) (*Timeline, error) {
 			start := ready[r]
 			for e := csr.PredOff[id]; !skipDeps && e < csr.PredOff[id+1]; e++ {
 				pid := csr.Pred[e]
-				pt := t.Items[pid].End
-				if opt.EdgeCost != nil {
+				pt := end[pid]
+				if edgeCost != nil {
 					pl, ps := csr.Set(pid)
-					pt += opt.EdgeCost(deps.SetRef{Layer: pl, Set: ps, Vol: int(csr.PredVol[e])}, li)
+					pt += edgeCost(deps.SetRef{Layer: pl, Set: ps, Vol: int(csr.PredVol[e])}, li)
 				}
 				if pt > start {
 					start = pt
 				}
 			}
 			c := csr.Cycles[id]
-			end := start + c
-			t.Items[id] = Item{Layer: li, Set: si, Replica: r, Start: start, End: end}
-			layerActive += c
-			active[r] += c
-			ready[r] = end
-			if end > layerEnd {
-				layerEnd = end
+			fin := start + c
+			end[id] = fin
+			ready[r] = fin
+			if fin > layerEnd {
+				layerEnd = fin
+			}
+			if t != nil {
+				t.Items[id] = Item{Layer: li, Set: si, Replica: r, Start: start, End: fin}
+				t.ReplicaActive[li][r] += c
+				layerActive += c
 			}
 		}
-		t.LayerActive[li] = layerActive
-		prefixEnd[li+1] = prefixEnd[li]
-		if layerEnd > prefixEnd[li+1] {
-			prefixEnd[li+1] = layerEnd
+		if t != nil {
+			t.LayerActive[li] = layerActive
 		}
-		if layerEnd > t.Makespan {
-			t.Makespan = layerEnd
-		}
+		prefixEnd[li+1] = max(prefixEnd[li], layerEnd)
+		makespan = max(makespan, layerEnd)
 	}
-	if opt.Debug {
-		if err := t.Validate(dg, opt); err != nil {
-			return nil, fmt.Errorf("schedule: debug validation: %w", err)
-		}
+	return makespan
+}
+
+// grow returns s resized to n, reusing its backing array when large
+// enough (contents are unspecified; callers overwrite).
+func grow(s []int64, n int) []int64 {
+	if cap(s) < n {
+		return make([]int64, n)
 	}
-	return t, nil
+	return s[:n]
 }
 
 // LayerByLayerVirtual schedules a weight-virtualized mapping (paper

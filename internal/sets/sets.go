@@ -22,6 +22,7 @@ import (
 	"clsacim/internal/mapping"
 	"clsacim/internal/nn"
 	"clsacim/internal/region"
+	"clsacim/internal/tensor"
 )
 
 // DefaultTargetSets is the default Stage I granularity: the scheduler
@@ -131,10 +132,7 @@ type Options struct {
 // duplication factor so the round-robin distribution over the d_i
 // replica PE groups stays even.
 func Determine(g *nn.Graph, m *mapping.Mapping, opt Options) (*Plan, error) {
-	target := opt.TargetSets
-	if target <= 0 {
-		target = DefaultTargetSets
-	}
+	target := opt.target()
 	plan := &Plan{
 		Layers:     make([]LayerSets, 0, len(m.Groups)),
 		ByNode:     make(map[*nn.Node]int, len(m.Groups)),
@@ -142,59 +140,170 @@ func Determine(g *nn.Graph, m *mapping.Mapping, opt Options) (*Plan, error) {
 	}
 	cons := g.Consumers()
 	for li, grp := range m.Groups {
-		out := grp.Node.OutShape
-		alignH, alignW := downstreamAlign(grp.Node, cons)
-		alignH = clampAlign(alignH, out.H)
-		alignW = clampAlign(alignW, out.W)
-		n := target
-		if grp.Dup > 1 && n < FineGranularity {
-			n = (n + grp.Dup - 1) / grp.Dup * grp.Dup
+		geo := newGeometry(grp.Node, cons)
+		gh, gw := geo.grid(setCount(target, grp.Dup))
+		ls, err := partition(li, grp.Node, geo, gh, gw)
+		if err != nil {
+			return nil, err
 		}
-		unitsH := (out.H + alignH - 1) / alignH
-		unitsW := (out.W + alignW - 1) / alignW
-		gh := min(n, unitsH)
-		gw := 1
-		if gh > 0 && gh == unitsH && n > unitsH {
-			gw = min((n+gh-1)/gh, unitsW)
-		}
-		full := region.Full(out.H, out.W, out.C)
-		rows := full.SplitH(gh, alignH)
-		cols := full.SplitW(gw, alignW)
-		ls := LayerSets{Group: grp, AlignH: alignH, AlignW: alignW, GH: len(rows), GW: len(cols)}
-		ls.RowBounds = make([]int, 0, len(rows)+1)
-		for _, r := range rows {
-			ls.RowBounds = append(ls.RowBounds, r.H0)
-		}
-		ls.RowBounds = append(ls.RowBounds, out.H)
-		ls.ColBounds = make([]int, 0, len(cols)+1)
-		for _, c := range cols {
-			ls.ColBounds = append(ls.ColBounds, c.W0)
-		}
-		ls.ColBounds = append(ls.ColBounds, out.W)
-		ls.Sets = make([]Set, 0, len(rows)*len(cols))
-		idx := 0
-		for _, r := range rows {
-			for _, c := range cols {
-				b := region.NewBox(r.H0, r.H1, c.W0, c.W1, 0, out.C)
-				ls.Sets = append(ls.Sets, Set{Layer: li, Index: idx, Box: b, Cycles: int64(b.Pixels())})
-				idx++
-			}
-		}
-		// The grid construction guarantees pairwise disjointness; volume
-		// and containment checks catch boundary bugs in O(n).
-		var vol int
-		for i := range ls.Sets {
-			s := &ls.Sets[i]
-			if s.Box.Empty() || !full.ContainsBox(s.Box) {
-				return nil, fmt.Errorf("sets: tile %v of %v outside OFM", s.Box, grp.Node)
-			}
-			vol += s.Box.Volume()
-		}
-		if vol != full.Volume() {
-			return nil, fmt.Errorf("sets: tiles of %v cover %d of %d elements", grp.Node, vol, full.Volume())
-		}
+		ls.Group = grp
 		plan.Layers = append(plan.Layers, ls)
 		plan.ByNode[grp.Node] = li
+	}
+	return plan, nil
+}
+
+func (o Options) target() int {
+	if o.TargetSets <= 0 {
+		return DefaultTargetSets
+	}
+	return o.TargetSets
+}
+
+// setCount is the number of sets requested for a layer with
+// duplication factor dup: target rounded up to a multiple of dup below
+// FineGranularity. It is the only way the duplication vector reaches
+// Stage I.
+func setCount(target, dup int) int {
+	if dup > 1 && target < FineGranularity {
+		return (target + dup - 1) / dup * dup
+	}
+	return target
+}
+
+// geometry is the duplication-independent part of a layer's partition:
+// the OFM shape, the pooling alignment of its tile boundaries, and the
+// number of alignment units along each axis.
+type geometry struct {
+	out            tensor.Shape
+	alignH, alignW int
+	unitsH, unitsW int
+}
+
+func newGeometry(n *nn.Node, cons map[*nn.Node][]*nn.Node) geometry {
+	out := n.OutShape
+	alignH, alignW := downstreamAlign(n, cons)
+	alignH = clampAlign(alignH, out.H)
+	alignW = clampAlign(alignW, out.W)
+	return geometry{out: out, alignH: alignH, alignW: alignW,
+		unitsH: (out.H + alignH - 1) / alignH,
+		unitsW: (out.W + alignW - 1) / alignW}
+}
+
+// grid returns the gh x gw grid shape requested for n sets. The
+// partition is a function of this shape alone: region.SplitH/SplitW
+// cut exactly min(n, units) pieces.
+func (geo geometry) grid(n int) (gh, gw int) {
+	gh = min(n, geo.unitsH)
+	gw = 1
+	if gh > 0 && gh == geo.unitsH && n > geo.unitsH {
+		gw = min((n+gh-1)/gh, geo.unitsW)
+	}
+	return gh, gw
+}
+
+// partition is the Stage I kernel: it tiles layer li's OFM (node n)
+// into a gh x gw grid of sets. The result's Group is left for the
+// caller to set.
+func partition(li int, n *nn.Node, geo geometry, gh, gw int) (LayerSets, error) {
+	out := geo.out
+	full := region.Full(out.H, out.W, out.C)
+	rows := full.SplitH(gh, geo.alignH)
+	cols := full.SplitW(gw, geo.alignW)
+	ls := LayerSets{AlignH: geo.alignH, AlignW: geo.alignW, GH: len(rows), GW: len(cols)}
+	ls.RowBounds = make([]int, 0, len(rows)+1)
+	for _, r := range rows {
+		ls.RowBounds = append(ls.RowBounds, r.H0)
+	}
+	ls.RowBounds = append(ls.RowBounds, out.H)
+	ls.ColBounds = make([]int, 0, len(cols)+1)
+	for _, c := range cols {
+		ls.ColBounds = append(ls.ColBounds, c.W0)
+	}
+	ls.ColBounds = append(ls.ColBounds, out.W)
+	ls.Sets = make([]Set, 0, len(rows)*len(cols))
+	idx := 0
+	for _, r := range rows {
+		for _, c := range cols {
+			b := region.NewBox(r.H0, r.H1, c.W0, c.W1, 0, out.C)
+			ls.Sets = append(ls.Sets, Set{Layer: li, Index: idx, Box: b, Cycles: int64(b.Pixels())})
+			idx++
+		}
+	}
+	// The grid construction guarantees pairwise disjointness; volume
+	// and containment checks catch boundary bugs in O(n).
+	var vol int
+	for i := range ls.Sets {
+		s := &ls.Sets[i]
+		if s.Box.Empty() || !full.ContainsBox(s.Box) {
+			return LayerSets{}, fmt.Errorf("sets: tile %v of %v outside OFM", s.Box, n)
+		}
+		vol += s.Box.Volume()
+	}
+	if vol != full.Volume() {
+		return LayerSets{}, fmt.Errorf("sets: tiles of %v cover %d of %d elements", n, vol, full.Volume())
+	}
+	return ls, nil
+}
+
+// Memo is Stage I for many duplication vectors of one mapping plan — a
+// scored solver's candidates. A layer's partition depends on its d_i
+// only through the rounded set count (setCount), so partitions are
+// computed once per (layer, grid shape) and shared by every plan the
+// memo returns; alignments and ByNode are computed once per memo.
+// Returned plans share those slices and the ByNode map with the memo
+// and with each other, so they must be treated as read-only (as every
+// consumer does). A Memo is not safe for concurrent use.
+type Memo struct {
+	target int
+	nodes  []*nn.Node
+	geo    []geometry
+	byNode map[*nn.Node]int
+	parts  []map[[2]int]LayerSets
+}
+
+// NewMemo prepares Stage I for the base layers of plan over graph g.
+func NewMemo(g *nn.Graph, plan *mapping.Plan, opt Options) *Memo {
+	nl := len(plan.Layers)
+	mm := &Memo{
+		target: opt.target(),
+		nodes:  make([]*nn.Node, nl),
+		geo:    make([]geometry, nl),
+		byNode: make(map[*nn.Node]int, nl),
+		parts:  make([]map[[2]int]LayerSets, nl),
+	}
+	cons := g.Consumers()
+	for li, info := range plan.Layers {
+		mm.nodes[li] = info.Node
+		mm.geo[li] = newGeometry(info.Node, cons)
+		mm.byNode[info.Node] = li
+		mm.parts[li] = make(map[[2]int]LayerSets)
+	}
+	return mm
+}
+
+// Determine returns the Stage I plan of m, a mapping of the memo's
+// plan; it equals Determine(g, m, opt) field for field.
+func (mm *Memo) Determine(m *mapping.Mapping) (*Plan, error) {
+	if len(m.Groups) != len(mm.nodes) {
+		return nil, fmt.Errorf("sets: mapping has %d groups, memo %d layers", len(m.Groups), len(mm.nodes))
+	}
+	plan := &Plan{Layers: make([]LayerSets, len(m.Groups)), ByNode: mm.byNode, TargetSets: mm.target}
+	for li, grp := range m.Groups {
+		if grp.Node != mm.nodes[li] {
+			return nil, fmt.Errorf("sets: group %d maps %v, memo layer is %v", li, grp.Node, mm.nodes[li])
+		}
+		gh, gw := mm.geo[li].grid(setCount(mm.target, grp.Dup))
+		ls, ok := mm.parts[li][[2]int{gh, gw}]
+		if !ok {
+			var err error
+			if ls, err = partition(li, grp.Node, mm.geo[li], gh, gw); err != nil {
+				return nil, err
+			}
+			mm.parts[li][[2]int{gh, gw}] = ls
+		}
+		ls.Group = grp
+		plan.Layers[li] = ls
 	}
 	return plan, nil
 }

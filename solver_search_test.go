@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"clsacim/internal/mapping"
 )
 
 // searchEngine builds a fresh engine with coarse Stage I granularity so
@@ -119,6 +121,26 @@ func TestSearchSolverCacheKeys(t *testing.T) {
 	}
 	if s := e.Stats(); s.Compiles != 4 {
 		t.Errorf("repeat search recompiled: %d compiles, want 4", s.Compiles)
+	}
+}
+
+// The builtin search reads budget 0 as mapping.DefaultSearchBudget, so
+// a request spelling out the default must share the compile of one
+// that leaves it unset.
+func TestSearchDefaultBudgetSharesCompile(t *testing.T) {
+	e := searchEngine(t)
+	ctx := context.Background()
+	for _, budget := range []int{0, mapping.DefaultSearchBudget} {
+		if _, err := e.Compile(ctx, Request{
+			Model: "tinyconvnet", Mode: ModeCrossLayer, ExtraPEs: 4,
+			WeightDuplication: true, Solver: "search", SolverBudget: budget,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := e.Stats(); s.Compiles != 1 {
+		t.Errorf("budget 0 and the default budget %d compiled %d times, want 1",
+			mapping.DefaultSearchBudget, s.Compiles)
 	}
 }
 
