@@ -18,6 +18,7 @@ import (
 
 	clsacim "clsacim"
 	"clsacim/internal/bench"
+	"clsacim/internal/check"
 	"clsacim/internal/deps"
 	"clsacim/internal/frontend"
 	"clsacim/internal/im2col"
@@ -287,9 +288,10 @@ func BenchmarkSolverSearch(b *testing.B) {
 	}
 }
 
-// stageIVWorkload lowers TinyYOLOv4 (wdup+32, fine granularity) through
-// Stages I-II for the scheduler/simulator micro benchmarks.
-func stageIVWorkload(b *testing.B) (*mapping.Mapping, *deps.Graph, cim.Config) {
+// stageIVWorkload lowers TinyYOLOv4 (wdup+32) at the given Stage I
+// target set count through Stages I-II for the scheduler, simulator and
+// checker micro benchmarks.
+func stageIVWorkload(b *testing.B, targetSets int) (*mapping.Mapping, *deps.Graph, cim.Config) {
 	b.Helper()
 	g := models.MustBuild(models.TinyYOLOv4, models.Options{})
 	if _, err := frontend.Canonicalize(g, frontend.Options{}); err != nil {
@@ -307,7 +309,7 @@ func stageIVWorkload(b *testing.B) (*mapping.Mapping, *deps.Graph, cim.Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sp, err := sets.Determine(g, m, sets.Options{TargetSets: sets.FineGranularity})
+	sp, err := sets.Determine(g, m, sets.Options{TargetSets: targetSets})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -323,7 +325,7 @@ func stageIVWorkload(b *testing.B) (*mapping.Mapping, *deps.Graph, cim.Config) {
 // BenchmarkStageIV measures the raw Stage IV list scheduler over the
 // CSR dependency arrays (no validation, no metrics), per policy.
 func BenchmarkStageIV(b *testing.B) {
-	_, dg, _ := stageIVWorkload(b)
+	_, dg, _ := stageIVWorkload(b, sets.FineGranularity)
 	for _, p := range []schedule.Policy{schedule.LayerByLayer, schedule.Windowed(4), schedule.CrossLayer} {
 		b.Run(p.Name(), func(b *testing.B) {
 			b.ReportAllocs()
@@ -345,7 +347,7 @@ func BenchmarkStageIV(b *testing.B) {
 // Stage III dispatch plan, the way Compiled.Simulate drives it. The
 // cold path (fresh scratch, dispatch built per run) is sim.Run.
 func BenchmarkSimulate(b *testing.B) {
-	m, dg, arch := stageIVWorkload(b)
+	m, dg, arch := stageIVWorkload(b, sets.FineGranularity)
 	for _, p := range []schedule.Policy{schedule.LayerByLayer, schedule.Windowed(4), schedule.CrossLayer} {
 		b.Run(p.Name(), func(b *testing.B) {
 			st := sim.NewState()
@@ -372,7 +374,7 @@ func BenchmarkSimulate(b *testing.B) {
 // event loop, no Timeline materialization, zero steady-state
 // allocations.
 func BenchmarkSimulateCoarse(b *testing.B) {
-	m, dg, arch := stageIVWorkload(b)
+	m, dg, arch := stageIVWorkload(b, sets.FineGranularity)
 	for _, p := range []schedule.Policy{schedule.LayerByLayer, schedule.Windowed(4), schedule.CrossLayer} {
 		b.Run(p.Name(), func(b *testing.B) {
 			st := sim.NewState()
@@ -395,43 +397,29 @@ func BenchmarkSimulateCoarse(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleCrossLayer measures Stage III/IV scheduling through
-// the facade. Compiled caches validated timelines per mode, so this now
-// measures the cached path (report assembly + metrics); BenchmarkStageIV
-// above measures the raw scheduler.
-func BenchmarkScheduleCrossLayer(b *testing.B) {
-	m, err := clsacim.LoadModel("tinyyolov4", clsacim.ModelOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	comp, err := clsacim.Compile(m, clsacim.Config{ExtraPEs: 32, WeightDuplication: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := comp.Schedule(clsacim.ModeCrossLayer); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEventSimTinyYOLOv4 measures the discrete-event simulator on
-// the same workload.
-func BenchmarkEventSimTinyYOLOv4(b *testing.B) {
-	m, err := clsacim.LoadModel("tinyyolov4", clsacim.ModelOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	comp, err := clsacim.Compile(m, clsacim.Config{ExtraPEs: 32, WeightDuplication: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := comp.Simulate(clsacim.ModeCrossLayer); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkCheckTimeline measures the timeline validator
+// (check.Timeline) the engine runs on every computed timeline, on the
+// xinf schedule of the Stage IV workload at fine granularity and at 26
+// sets per layer.
+func BenchmarkCheckTimeline(b *testing.B) {
+	for _, w := range []struct {
+		name       string
+		targetSets int
+	}{{"fine", sets.FineGranularity}, {"s26", 26}} {
+		b.Run(w.name, func(b *testing.B) {
+			m, dg, _ := stageIVWorkload(b, w.targetSets)
+			tl, err := schedule.Schedule(dg, schedule.CrossLayer, schedule.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := check.Timeline(m, dg, schedule.CrossLayer, tl, check.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

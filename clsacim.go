@@ -48,6 +48,7 @@ import (
 	"io"
 	"sync"
 
+	"clsacim/internal/check"
 	"clsacim/internal/cim"
 	"clsacim/internal/deps"
 	"clsacim/internal/frontend"
@@ -272,9 +273,9 @@ type Compiled struct {
 
 	// sched is the compilation's mutable scheduling state, shared by
 	// pointer between a base compilation and its derived F-views (see
-	// withExtraPEs), so all of them reuse one set of timelines,
-	// validation marks, the Stage III dispatch plan, and the simulator
-	// scratch pool.
+	// withExtraPEs), so all of them reuse one set of checked
+	// timelines, the Stage III dispatch plan, and the simulator scratch
+	// pool.
 	sched *schedState
 }
 
@@ -284,10 +285,8 @@ type Compiled struct {
 // timelines caches validated schedules per canonical mode wire name. A
 // Compiled is immutable and shared through the Engine's compile cache,
 // so the schedule of a (compile key, mode) pair is computed once;
-// sweeps that rescore the same baseline hit this cache. checked (same
-// key space, same lock) marks timelines that already passed the full
-// internal/check invariant set, so WithValidation sweeps validate each
-// cached timeline once instead of per request.
+// sweeps that rescore the same baseline hit this cache. A timeline
+// enters the cache only after passing the internal/check invariant set.
 //
 // dispatch is the lazily built Stage III dispatch plan; every built-in
 // policy shares the raster Replica rule, so one plan serves every
@@ -297,7 +296,6 @@ type Compiled struct {
 type schedState struct {
 	mu        sync.Mutex
 	timelines map[string]*schedule.Timeline
-	checked   map[string]bool
 	dispatch  *schedule.Dispatch
 	simPool   sync.Pool // *sim.State
 }
@@ -433,7 +431,6 @@ func Compile(model *Model, cfg Config) (*Compiled, error) {
 		ModelName: model.Name,
 		sched: &schedState{
 			timelines: make(map[string]*schedule.Timeline),
-			checked:   make(map[string]bool),
 			simPool:   sync.Pool{New: func() any { return sim.NewState() }},
 		},
 		cfg:      cfg,
@@ -691,10 +688,10 @@ func (c *Compiled) normalizeMode(mode ScheduleMode) ScheduleMode {
 }
 
 // timeline returns the validated execution timeline of the compilation
-// under mode, computing it at most once per canonical mode (the
-// Compiled is shared through the Engine's compile cache, so repeated
-// requests — in particular the layer-by-layer baseline of every
-// evaluation — reuse it).
+// under mode, computing and checking it (internal/check) at most once
+// per canonical mode (the Compiled is shared through the Engine's
+// compile cache, so repeated requests — in particular the
+// layer-by-layer baseline of every evaluation — reuse it).
 func (c *Compiled) timeline(mode ScheduleMode) (*schedule.Timeline, error) {
 	mode = c.normalizeMode(mode)
 	key := mode.wireName()
@@ -718,8 +715,8 @@ func (c *Compiled) timeline(mode ScheduleMode) (*schedule.Timeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := t.Validate(c.depGraph, opt); err != nil {
-		return nil, fmt.Errorf("clsacim: schedule validation: %w", err)
+	if err := check.Timeline(c.mapped, c.depGraph, t.Policy, t, check.Options{EdgeCost: opt.EdgeCost}); err != nil {
+		return nil, fmt.Errorf("clsacim: %q %s timeline failed validation: %w", c.ModelName, mode, err)
 	}
 	c.sched.mu.Lock()
 	if prev, ok := c.sched.timelines[key]; ok {

@@ -81,7 +81,7 @@ func main() {
 	flag.DurationVar(&o.timeout, "timeout", 60*time.Second, "per-request handling deadline (0 = none)")
 	flag.IntVar(&o.maxBatch, "max-batch", serve.DefaultMaxBatch, "max requests per batch call")
 	flag.DurationVar(&o.grace, "shutdown-grace", 10*time.Second, "drain time for in-flight requests on SIGTERM")
-	flag.BoolVar(&o.validate, "validate", false, "run the timeline invariant checker on every schedule (canary mode)")
+	flag.BoolVar(&o.validate, "validate", false, "revalidate every streamed execution with the stream checker (timelines are always checked)")
 	flag.BoolVar(&o.degrade, "degrade", false, "serve coarse degraded results when a request deadline is too tight (engine-wide WithDegradation)")
 	flag.StringVar(&o.configPath, "config", "", "JSON file with the engine's base clsacim.Config (architecture defaults)")
 	flag.StringVar(&o.admitSpec, "admit", "", `admission gates per endpoint class, e.g. "evaluate=32:64:500ms,batch=4:8:1s,stream=2" (class=concurrency[:queue[:wait]])`)

@@ -15,8 +15,8 @@
 // document DIR/BENCH_<experiment>.json (schema "clsacim-bench/v1",
 // default DIR is the working directory — the repo root in CI, so the
 // perf trajectory is recorded next to the code it measures): an
-// envelope with the experiment name, wall-clock elapsed_ms, and engine
-// compile-cache stats, plus one payload section matching the experiment
+// envelope with the experiment name, wall-clock elapsed_ms, and the
+// engine stats of that experiment alone (counter deltas), plus one payload section matching the experiment
 // kind — table1/table2 rows, measurement points (model, mapping, x,
 // sched, speedup, utilization, makespan_cycles, ut_gain), ablation
 // points, or streaming points (scenario, throughput_per_sec,
@@ -110,7 +110,7 @@ func main() {
 	run := func(name string, f func() (bench.Doc, error)) {
 		switch *exp {
 		case name, "all":
-			start := time.Now()
+			start, before := time.Now(), h.Engine().Stats()
 			doc, err := f()
 			if err != nil {
 				die("paperbench: %s: %v\n", name, err)
@@ -119,7 +119,7 @@ func main() {
 				doc.Schema = bench.Schema
 				doc.Experiment = name
 				doc.ElapsedMS = time.Since(start).Milliseconds()
-				st := h.Engine().Stats()
+				st := bench.StatsDelta(before, h.Engine().Stats())
 				doc.Engine = &st
 				if err := bench.WriteDocFile(*jsonDir, doc); err != nil {
 					die("paperbench: %s: writing %s: %v\n",

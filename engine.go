@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"clsacim/internal/check"
 	"clsacim/internal/mapping"
 	"clsacim/internal/metrics"
 )
@@ -465,47 +464,7 @@ func (e *Engine) Schedule(ctx context.Context, req Request) (*Report, error) {
 	if hit {
 		e.notePartial(comp, req.Mode)
 	}
-	rep, err := comp.Schedule(req.Mode)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.checkReport(rep); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// checkReport runs the engine-independent invariant checker on a
-// scheduled report when WithValidation is on. Timelines are immutable
-// once cached on the Compiled, so each (compilation, canonical mode)
-// pair is validated at most once even across batch sweeps that rescore
-// the same baseline per point.
-func (e *Engine) checkReport(rep *Report) error {
-	if !e.validate {
-		return nil
-	}
-	if rep.sched == nil {
-		// Degraded reports carry no timeline; the coarse event loop is
-		// covered by the simulator's own equivalence tests.
-		return nil
-	}
-	comp := rep.comp
-	key := comp.normalizeMode(rep.Mode).wireName()
-	comp.sched.mu.Lock()
-	done := comp.sched.checked[key]
-	comp.sched.mu.Unlock()
-	if done {
-		return nil
-	}
-	tl := rep.sched
-	opt := comp.schedOptions(rep.Mode)
-	if err := check.Timeline(comp.mapped, comp.depGraph, tl.Policy, tl, check.Options{EdgeCost: opt.EdgeCost}); err != nil {
-		return fmt.Errorf("clsacim: %q %s timeline failed validation: %w", rep.Model, rep.Mode, err)
-	}
-	comp.sched.mu.Lock()
-	comp.sched.checked[key] = true
-	comp.sched.mu.Unlock()
-	return nil
+	return comp.Schedule(req.Mode)
 }
 
 // Evaluate compiles and schedules the request and measures it against
@@ -578,17 +537,11 @@ func (e *Engine) evaluate(ctx context.Context, m *Model, req Request) (*Evaluati
 	if err != nil {
 		return nil, err
 	}
-	if err := e.checkReport(baseline); err != nil {
-		return nil, err
-	}
 	if hit {
 		e.notePartial(comp, req.Mode)
 	}
 	result, err := comp.Schedule(req.Mode)
 	if err != nil {
-		return nil, err
-	}
-	if err := e.checkReport(result); err != nil {
 		return nil, err
 	}
 	e.evaluations.Add(1)
@@ -792,16 +745,8 @@ func (e *Engine) EvaluateBatch(ctx context.Context, reqs []Request) ([]BatchResu
 			out[i].Err = err
 			return
 		}
-		if err := e.checkReport(baseline); err != nil {
-			out[i].Err = err
-			return
-		}
 		result, err := comp.Schedule(reqs[i].Mode)
 		if err != nil {
-			out[i].Err = err
-			return
-		}
-		if err := e.checkReport(result); err != nil {
 			out[i].Err = err
 			return
 		}

@@ -37,9 +37,31 @@ type Doc struct {
 	Ablations []AblationPoint `json:"ablations,omitempty"`
 	Stream    []StreamPoint   `json:"stream,omitempty"`
 	Solver    []SolverPoint   `json:"solver,omitempty"`
-	// Engine carries the compile-cache statistics accumulated so far in
-	// the producing run.
+	// Engine carries the engine statistics of this experiment alone:
+	// counters are the experiment's delta (see StatsDelta), the cache
+	// occupancy and limit are absolute.
 	Engine *clsacim.Stats `json:"engine,omitempty"`
+}
+
+// StatsDelta returns the engine statistics accrued between two
+// snapshots of one Engine: every counter is after minus before, while
+// CachedEntries and CacheLimit, which are levels rather than counts,
+// keep their after values. A harness that runs several experiments on
+// one Engine stamps each document with the delta around it.
+func StatsDelta(before, after clsacim.Stats) clsacim.Stats {
+	return clsacim.Stats{
+		Compiles:            after.Compiles - before.Compiles,
+		CacheHits:           after.CacheHits - before.CacheHits,
+		PartialHits:         after.PartialHits - before.PartialHits,
+		CacheMisses:         after.CacheMisses - before.CacheMisses,
+		Evictions:           after.Evictions - before.Evictions,
+		Evaluations:         after.Evaluations - before.Evaluations,
+		DegradedEvaluations: after.DegradedEvaluations - before.DegradedEvaluations,
+		StreamEvaluations:   after.StreamEvaluations - before.StreamEvaluations,
+		StreamInferences:    after.StreamInferences - before.StreamInferences,
+		CachedEntries:       after.CachedEntries,
+		CacheLimit:          after.CacheLimit,
+	}
 }
 
 // DocFilename returns the canonical file name of an experiment's doc.

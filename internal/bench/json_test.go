@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	clsacim "clsacim"
 )
 
 // TestWriteDocFile: docs land as BENCH_<experiment>.json, carry the
@@ -66,6 +68,43 @@ func TestRunAllAblations(t *testing.T) {
 	for _, want := range []string{"granularity", "solver", "noc", "crossbar", "gpeu", "virtualization", "window"} {
 		if !studies[want] {
 			t.Errorf("study %q missing from RunAllAblations (have %v)", want, studies)
+		}
+	}
+}
+
+// TestStatsDelta: counters are differenced, cache levels stay absolute.
+func TestStatsDelta(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		before, after clsacim.Stats
+		want          clsacim.Stats
+	}{
+		{
+			name:  "first experiment",
+			after: clsacim.Stats{Compiles: 2, CacheHits: 1, CacheMisses: 2, Evaluations: 1, CachedEntries: 2},
+			want:  clsacim.Stats{Compiles: 2, CacheHits: 1, CacheMisses: 2, Evaluations: 1, CachedEntries: 2},
+		},
+		{
+			name: "later experiment on a warm engine",
+			before: clsacim.Stats{Compiles: 8, CacheHits: 5, PartialHits: 2, CacheMisses: 8, Evictions: 1,
+				Evaluations: 4, DegradedEvaluations: 1, StreamEvaluations: 3, StreamInferences: 90,
+				CachedEntries: 7, CacheLimit: 16},
+			after: clsacim.Stats{Compiles: 10, CacheHits: 9, PartialHits: 3, CacheMisses: 10, Evictions: 1,
+				Evaluations: 6, DegradedEvaluations: 1, StreamEvaluations: 5, StreamInferences: 150,
+				CachedEntries: 9, CacheLimit: 16},
+			want: clsacim.Stats{Compiles: 2, CacheHits: 4, PartialHits: 1, CacheMisses: 2,
+				Evaluations: 2, StreamEvaluations: 2, StreamInferences: 60,
+				CachedEntries: 9, CacheLimit: 16},
+		},
+		{
+			name:   "idle experiment",
+			before: clsacim.Stats{Compiles: 3, Evaluations: 3, CachedEntries: 3},
+			after:  clsacim.Stats{Compiles: 3, Evaluations: 3, CachedEntries: 3},
+			want:   clsacim.Stats{CachedEntries: 3},
+		},
+	} {
+		if got := StatsDelta(tc.before, tc.after); got != tc.want {
+			t.Errorf("%s: StatsDelta = %+v, want %+v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -8,21 +8,26 @@
 // timelines: it shares no code with the Stage IV list scheduler
 // (package schedule) or the event-driven simulator (package sim), so a
 // bug in either engine cannot also hide in the oracle that judges it.
-// Both engines run it behind a debug option, the public Engine exposes
-// it through clsacim.WithValidation, and the differential fuzz harness
-// (FuzzScheduleVsSim) drives it over randomized models.
+// The public Engine runs it on every timeline it computes (once per
+// compilation and canonical scheduling mode), the stream checker runs it
+// on every inference, and the differential fuzz harness
+// (FuzzScheduleVsSim) drives it over both engines on randomized models.
 //
 // The invariant set:
 //
 //   - Shape: one item per Stage I set, carrying its own (layer, set)
 //     coordinates, a replica inside the layer's duplication range, and
 //     non-negative times.
+//   - Dispatch (Stage III): set s of a layer with d replicas runs on the
+//     replica the policy's Replica(s, d) rule names.
 //   - Dependency order: every CSR dependency edge is respected — a set
 //     starts only after each predecessor set has completed, plus the
 //     configured edge cost (NoC/GPEU).
 //   - Crossbar exclusivity: no physical PE executes two sets at once.
-//     Sets of the same replica PE group must serialize, and groups that
-//     share PEs (weight virtualization) must never overlap in time.
+//     Sets of the same replica PE group serialize in raster order (a
+//     set starts only once the replica's previous set has ended), and
+//     groups that share PEs (weight virtualization) must never overlap
+//     in time.
 //   - Window admission: under a window-K policy no set of layer l starts
 //     before every layer up to l-K has fully completed.
 //   - Conservation (Stage III/IV accounting): each set runs for exactly
@@ -50,6 +55,7 @@ type Kind string
 // The invariant classes Timeline asserts.
 const (
 	KindShape        Kind = "shape"
+	KindDispatch     Kind = "dispatch"
 	KindDependency   Kind = "dependency"
 	KindExclusivity  Kind = "exclusivity"
 	KindWindow       Kind = "window"
@@ -108,78 +114,110 @@ func Timeline(m *mapping.Mapping, dg *deps.Graph, p schedule.Policy, tl *schedul
 	if len(tl.Items) != csr.NumSets() {
 		return violation(KindShape, -1, -1, "%d items, plan has %d sets", len(tl.Items), csr.NumSets())
 	}
-	if err := checkShape(m, dg, tl); err != nil {
+	last, err := checkItems(m, dg, p, tl, opt.EdgeCost)
+	if err != nil {
 		return err
 	}
-	if err := checkDependencies(dg, tl, opt.EdgeCost); err != nil {
+	if err := checkSharedPEs(m, tl); err != nil {
 		return err
 	}
-	if err := checkExclusivity(m, dg, tl); err != nil {
-		return err
-	}
-	if err := checkWindow(dg, p, tl); err != nil {
-		return err
-	}
-	if err := checkConservation(dg, tl); err != nil {
-		return err
-	}
-	return checkMakespan(m, tl)
+	return checkMakespan(m, tl, last)
 }
 
-// checkShape verifies that every item sits at its CSR position, names
-// itself correctly, runs on a replica the layer actually has, and keeps
-// sane times.
-func checkShape(m *mapping.Mapping, dg *deps.Graph, tl *schedule.Timeline) error {
+// checkItems is one pass over the items in CSR order (layer-major,
+// raster within a layer). Per set it asserts the shape, the Stage III
+// dispatch rule, dependency order, window admission, raster-order
+// serialization on the replica, and the Stage I duration; per layer it
+// asserts the recorded active totals. It returns the latest item end.
+// Its scratch is sized by layers and replicas, never by sets.
+func checkItems(m *mapping.Mapping, dg *deps.Graph, p schedule.Policy, tl *schedule.Timeline, edge schedule.EdgeCostFn) (int64, error) {
 	csr := dg.CSR
+	k := p.Window()
+	maxDup := 0
+	for _, ls := range dg.Plan.Layers {
+		maxDup = max(maxDup, ls.Group.Dup)
+	}
+	prevEnd := make([]int64, maxDup) // end of the replica's previous set
+	active := make([]int64, maxDup)  // the replica's busy cycles
+	layerEnd := make([]int64, len(dg.Plan.Layers))
+	var gate, last int64 // gate: latest end over layers [0, li-k]
 	for li, ls := range dg.Plan.Layers {
-		if int(tl.Off[li]) != int(csr.LayerOff[li]) {
-			return violation(KindShape, li, -1, "layer offset %d != CSR offset %d", tl.Off[li], csr.LayerOff[li])
+		off := int(csr.LayerOff[li])
+		if int(tl.Off[li]) != off {
+			return 0, violation(KindShape, li, -1, "layer offset %d != CSR offset %d", tl.Off[li], off)
 		}
 		d := m.Groups[li].Dup
 		if d != ls.Group.Dup {
-			return violation(KindShape, li, -1, "mapping duplication %d != plan duplication %d", d, ls.Group.Dup)
+			return 0, violation(KindShape, li, -1, "mapping duplication %d != plan duplication %d", d, ls.Group.Dup)
 		}
 		if len(tl.ReplicaActive[li]) != d {
-			return violation(KindShape, li, -1,
+			return 0, violation(KindShape, li, -1,
 				"replica accounting has %d rows, layer has %d replicas", len(tl.ReplicaActive[li]), d)
 		}
+		if li >= k {
+			gate = max(gate, layerEnd[li-k])
+		}
+		clear(prevEnd[:d])
+		clear(active[:d])
+		var layerActive int64
 		for si := range ls.Sets {
-			it := tl.Items[int(csr.LayerOff[li])+si]
+			id := off + si
+			it := tl.Items[id]
 			if it.Layer != li || it.Set != si {
-				return violation(KindShape, li, si, "item labeled L%d/S%d", it.Layer, it.Set)
+				return 0, violation(KindShape, li, si, "item labeled L%d/S%d", it.Layer, it.Set)
 			}
 			if it.Replica < 0 || it.Replica >= d {
-				return violation(KindShape, li, si, "replica %d outside [0, %d)", it.Replica, d)
+				return 0, violation(KindShape, li, si, "replica %d outside [0, %d)", it.Replica, d)
 			}
 			if it.Start < 0 || it.End < it.Start {
-				return violation(KindShape, li, si, "times [%d, %d) not ordered", it.Start, it.End)
+				return 0, violation(KindShape, li, si, "times [%d, %d) not ordered", it.Start, it.End)
+			}
+			if want := p.Replica(si, d); it.Replica != want {
+				return 0, violation(KindDispatch, li, si, "runs on replica %d, dispatch rule says %d", it.Replica, want)
+			}
+			for e := csr.PredOff[id]; e < csr.PredOff[id+1]; e++ {
+				pid := csr.Pred[e]
+				need := tl.Items[pid].End
+				if edge != nil {
+					pl, ps := csr.Set(pid)
+					need += edge(deps.SetRef{Layer: pl, Set: ps, Vol: int(csr.PredVol[e])}, li)
+				}
+				if it.Start < need {
+					pl, ps := csr.Set(pid)
+					return 0, violation(KindDependency, li, si,
+						"starts %d before predecessor L%d/S%d ready at %d", it.Start, pl, ps, need)
+				}
+			}
+			if it.Start < gate {
+				return 0, violation(KindWindow, li, si,
+					"starts %d before layers <= %d complete at %d (window %d)", it.Start, li-k, gate, k)
+			}
+			if r := it.Replica; it.Start < prevEnd[r] {
+				return 0, violation(KindExclusivity, li, si,
+					"starts %d before replica %d is free at %d (its previous set in raster order)", it.Start, r, prevEnd[r])
+			}
+			dur := it.End - it.Start
+			if dur != csr.Cycles[id] {
+				return 0, violation(KindConservation, li, si, "duration %d != %d Stage I cycles", dur, csr.Cycles[id])
+			}
+			prevEnd[it.Replica] = it.End
+			active[it.Replica] += dur
+			layerActive += dur
+			layerEnd[li] = max(layerEnd[li], it.End)
+		}
+		last = max(last, layerEnd[li])
+		if tl.LayerActive[li] != layerActive {
+			return 0, violation(KindConservation, li, -1,
+				"recorded layer active %d != item total %d", tl.LayerActive[li], layerActive)
+		}
+		for r, a := range active[:d] {
+			if tl.ReplicaActive[li][r] != a {
+				return 0, violation(KindConservation, li, -1,
+					"recorded replica %d active %d != item total %d", r, tl.ReplicaActive[li][r], a)
 			}
 		}
 	}
-	return nil
-}
-
-// checkDependencies walks every CSR predecessor edge and asserts the
-// consumer starts no earlier than the producer's end plus the edge cost.
-func checkDependencies(dg *deps.Graph, tl *schedule.Timeline, edge schedule.EdgeCostFn) error {
-	csr := dg.CSR
-	for id := 0; id < csr.NumSets(); id++ {
-		it := tl.Items[id]
-		for e := csr.PredOff[id]; e < csr.PredOff[id+1]; e++ {
-			pid := csr.Pred[e]
-			need := tl.Items[pid].End
-			if edge != nil {
-				pl, ps := csr.Set(pid)
-				need += edge(deps.SetRef{Layer: pl, Set: ps, Vol: int(csr.PredVol[e])}, it.Layer)
-			}
-			if it.Start < need {
-				pl, ps := csr.Set(pid)
-				return violation(KindDependency, it.Layer, it.Set,
-					"starts %d before predecessor L%d/S%d ready at %d", it.Start, pl, ps, need)
-			}
-		}
-	}
-	return nil
+	return last, nil
 }
 
 // span is one busy interval of a replica PE group.
@@ -188,57 +226,30 @@ type span struct {
 	li, si     int
 }
 
-// checkExclusivity asserts that no physical crossbar PE executes two
-// sets at once: the items of one replica PE group must not overlap
-// pairwise, and replica groups that share PEs (weight virtualization
-// pools) must not overlap either.
-func checkExclusivity(m *mapping.Mapping, dg *deps.Graph, tl *schedule.Timeline) error {
-	nl := len(dg.Plan.Layers)
-	// Busy intervals per (layer, replica).
-	spans := make([][][]span, nl)
-	for li := range dg.Plan.Layers {
-		spans[li] = make([][]span, m.Groups[li].Dup)
-	}
-	for _, it := range tl.Items {
-		if it.End > it.Start { // zero-length sets occupy nothing
-			spans[it.Layer][it.Replica] = append(spans[it.Layer][it.Replica],
-				span{start: it.Start, end: it.End, li: it.Layer, si: it.Set})
+// checkSharedPEs asserts crossbar exclusivity between replica groups
+// that share physical PEs (weight virtualization pools). Within a group
+// checkItems already serialized the sets, so disjoint mappings stop
+// after one per-PE ownership pass; only a shared mapping pays for the
+// interval sweep, which is the single-inference case of the stream
+// checker's.
+func checkSharedPEs(m *mapping.Mapping, tl *schedule.Timeline) error {
+	npe := 0
+	for _, g := range m.Groups {
+		for _, pe := range g.PEs {
+			npe = max(npe, pe+1)
 		}
 	}
-	for li := range spans {
-		for r := range spans[li] {
-			if err := sweepSpans(spans[li][r]); err != nil {
-				return err
-			}
-		}
-	}
-	// Replica groups sharing any PE must be mutually exclusive over
-	// time. Disjoint mappings skip this entirely; virtualized mappings
-	// (layers time-sharing a swap pool) are the case that exercises it.
-	owners := map[int][][2]int{} // PE index -> (layer, replica) owners
-	for li, g := range m.Groups {
+	owner := make([]int32, npe) // 1 + global replica index, 0 = unowned
+	gid := int32(0)
+	for _, g := range m.Groups {
 		for r := 0; r < g.Dup; r++ {
+			gid++
 			for _, pe := range g.ReplicaPEs(r) {
-				owners[pe] = append(owners[pe], [2]int{li, r})
+				if owner[pe] != 0 && owner[pe] != gid {
+					return checkStreamExclusivity([]StreamModel{{Mapping: m}}, []StreamInference{{Timeline: tl}})
+				}
+				owner[pe] = gid
 			}
-		}
-	}
-	checked := map[string]bool{}
-	for _, os := range owners {
-		if len(os) < 2 {
-			continue
-		}
-		key := fmt.Sprint(os)
-		if checked[key] {
-			continue
-		}
-		checked[key] = true
-		var joint []span
-		for _, o := range os {
-			joint = append(joint, spans[o[0]][o[1]]...)
-		}
-		if err := sweepSpans(joint); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -262,79 +273,10 @@ func sweepSpans(ss []span) error {
 	return nil
 }
 
-// checkWindow asserts the policy's admission rule: no set of layer li
-// starts before every layer up to li-K has completed.
-func checkWindow(dg *deps.Graph, p schedule.Policy, tl *schedule.Timeline) error {
-	k := p.Window()
-	nl := len(dg.Plan.Layers)
-	if k >= nl {
-		return nil // the gate never engages
-	}
-	layerEnd := make([]int64, nl)
-	for _, it := range tl.Items {
-		if it.End > layerEnd[it.Layer] {
-			layerEnd[it.Layer] = it.End
-		}
-	}
-	var gate int64 // max end over layers [0, li-k]
-	for li := k; li < nl; li++ {
-		if e := layerEnd[li-k]; e > gate {
-			gate = e
-		}
-		for _, it := range tl.ItemsOf(li) {
-			if it.Start < gate {
-				return violation(KindWindow, li, it.Set,
-					"starts %d before layers <= %d complete at %d (window %d)", it.Start, li-k, gate, k)
-			}
-		}
-	}
-	return nil
-}
-
-// checkConservation asserts the Stage III/IV accounting: every set runs
-// for exactly its Stage I cycle count, and the per-layer / per-replica
-// active totals recorded on the timeline match the items.
-func checkConservation(dg *deps.Graph, tl *schedule.Timeline) error {
-	csr := dg.CSR
-	for li, ls := range dg.Plan.Layers {
-		var layerActive int64
-		replica := make([]int64, ls.Group.Dup)
-		for si := range ls.Sets {
-			id := int(csr.LayerOff[li]) + si
-			it := tl.Items[id]
-			if got, want := it.End-it.Start, csr.Cycles[id]; got != want {
-				return violation(KindConservation, li, si, "duration %d != %d Stage I cycles", got, want)
-			}
-			layerActive += it.End - it.Start
-			replica[it.Replica] += it.End - it.Start
-		}
-		// Per-item durations equal the Stage I cycle counts (checked
-		// above), so layerActive is also the layer's total work; the
-		// recorded accounting must match it.
-		if tl.LayerActive[li] != layerActive {
-			return violation(KindConservation, li, -1,
-				"recorded layer active %d != item total %d", tl.LayerActive[li], layerActive)
-		}
-		for r, a := range replica {
-			if tl.ReplicaActive[li][r] != a {
-				return violation(KindConservation, li, -1,
-					"recorded replica %d active %d != item total %d", r, tl.ReplicaActive[li][r], a)
-			}
-		}
-	}
-	return nil
-}
-
 // checkMakespan asserts that the recorded makespan is exactly the latest
 // item end and that paper Eq. 2 utilization derived from the timeline is
 // a valid fraction.
-func checkMakespan(m *mapping.Mapping, tl *schedule.Timeline) error {
-	var last int64
-	for _, it := range tl.Items {
-		if it.End > last {
-			last = it.End
-		}
-	}
+func checkMakespan(m *mapping.Mapping, tl *schedule.Timeline, last int64) error {
 	if tl.Makespan != last {
 		return violation(KindMakespan, -1, -1, "makespan %d != latest item end %d", tl.Makespan, last)
 	}

@@ -209,6 +209,64 @@ func TestTimelineRejectsCorruption(t *testing.T) {
 		t.Skip("layer 0 has no two sets on one replica at this granularity")
 	})
 
+	t.Run("dispatch violation", func(t *testing.T) {
+		tl := copyTimeline(schedOf(schedule.CrossLayer))
+		// Move one set to a neighbouring replica where it overlaps
+		// nothing, and carry its cycles over in the replica accounting:
+		// every time stays legal, only the Stage III dispatch rule
+		// (set s runs on replica s mod d) is broken.
+		for li := 0; li < tl.NumLayers(); li++ {
+			d := c.dg.Plan.Layers[li].Group.Dup
+			if d < 2 {
+				continue
+			}
+			items := tl.ItemsOf(li)
+			for si, it := range items {
+				to := (it.Replica + 1) % d
+				free := true
+				for _, o := range items {
+					if o.Replica == to && o.Start < it.End && it.Start < o.End {
+						free = false
+						break
+					}
+				}
+				if !free {
+					continue
+				}
+				dur := it.End - it.Start
+				tl.ReplicaActive[li][it.Replica] -= dur
+				tl.ReplicaActive[li][to] += dur
+				tl.At(li, si).Replica = to
+				assertKind(t, check.Timeline(c.m, c.dg, schedule.CrossLayer, tl, check.Options{}), check.KindDispatch)
+				return
+			}
+		}
+		t.Fatal("no set found that fits on another replica")
+	})
+
+	t.Run("raster order swapped", func(t *testing.T) {
+		tl := copyTimeline(schedOf(schedule.LayerByLayer))
+		// Swap the time slots of two consecutive sets of one replica
+		// with equal cycle counts. Under window 1 every predecessor has
+		// finished and every successor waits for the whole layer, so
+		// dependencies, overlap and accounting all still hold; only the
+		// raster order on the replica is broken.
+		for li := 0; li < tl.NumLayers(); li++ {
+			d := c.dg.Plan.Layers[li].Group.Dup
+			items := tl.ItemsOf(li)
+			for si := 0; si+d < len(items); si++ {
+				a, b := tl.At(li, si), tl.At(li, si+d)
+				if a.End-a.Start != b.End-b.Start || a.Start == b.Start {
+					continue
+				}
+				a.Start, a.End, b.Start, b.End = b.Start, b.End, a.Start, a.End
+				assertKind(t, check.Timeline(c.m, c.dg, schedule.LayerByLayer, tl, check.Options{}), check.KindExclusivity)
+				return
+			}
+		}
+		t.Fatal("no pair of equal-length sets found on one replica")
+	})
+
 	t.Run("window violation", func(t *testing.T) {
 		tl := copyTimeline(schedOf(schedule.LayerByLayer))
 		// Find a set whose dependencies finished strictly before its

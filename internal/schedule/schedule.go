@@ -42,13 +42,6 @@ type EdgeCostFn func(pred deps.SetRef, toLayer int) int64
 // Options configures scheduling.
 type Options struct {
 	EdgeCost EdgeCostFn
-	// Debug validates the timeline against the full Stage III/IV
-	// invariant set before Schedule returns it, turning scheduler bugs
-	// into errors at the source instead of silently wrong metrics
-	// downstream. It roughly doubles scheduling cost; leave it off on
-	// hot paths and let the caller validate (see internal/check for the
-	// engine-independent checker).
-	Debug bool
 }
 
 // Schedule computes the execution timeline of dg under policy p: list
@@ -66,11 +59,6 @@ func Schedule(dg *deps.Graph, p Policy, opt Options) (*Timeline, error) {
 	sc := scratchPool.Get().(*Scratch)
 	t.Makespan = sc.place(dg, p, opt.EdgeCost, t)
 	scratchPool.Put(sc)
-	if opt.Debug {
-		if err := t.Validate(dg, opt); err != nil {
-			return nil, fmt.Errorf("schedule: debug validation: %w", err)
-		}
-	}
 	return t, nil
 }
 
@@ -90,11 +78,7 @@ type Scratch struct {
 // the timeline: the same placement loop runs with set end times kept in
 // s only. It is the cost model of the scored duplication solvers; the
 // event simulator (package sim) stays its independent oracle.
-// Options.Debug is rejected, since there is no timeline to validate.
 func (s *Scratch) Makespan(dg *deps.Graph, p Policy, opt Options) (int64, error) {
-	if opt.Debug {
-		return 0, fmt.Errorf("schedule: makespan pass cannot validate (no timeline); use Schedule")
-	}
 	if err := checkInputs(dg, p); err != nil {
 		return 0, err
 	}

@@ -379,9 +379,12 @@ func TestSimMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: reference: %v", name, err)
 					}
-					got, err := st.Run(cp.arch, cp.dg, cp.m, p, Options{Edge: ec, Debug: true})
+					got, err := st.Run(cp.arch, cp.dg, cp.m, p, Options{Edge: ec})
 					if err != nil {
 						t.Fatalf("%s: calendar: %v", name, err)
+					}
+					if err := got.Timeline.Validate(cp.dg, schedule.Options{EdgeCost: ec}); err != nil {
+						t.Fatalf("%s: calendar timeline invalid: %v", name, err)
 					}
 					if !got.Timeline.Equal(want.Timeline) {
 						for i := range want.Items {

@@ -35,7 +35,6 @@ package sim
 import (
 	"fmt"
 
-	"clsacim/internal/check"
 	"clsacim/internal/cim"
 	"clsacim/internal/deps"
 	"clsacim/internal/eventq"
@@ -78,12 +77,6 @@ type Options struct {
 	// (all built-in policies share the raster rule, so one plan serves
 	// every mode). Nil builds a fresh plan for the run.
 	Dispatch *schedule.Dispatch
-	// Debug runs the engine-independent invariant checker
-	// (check.Timeline) on the simulated timeline before it is returned:
-	// dependency order, crossbar exclusivity, window admission,
-	// conservation, and makespan consistency. A violation means a
-	// simulator bug and is returned as the run's error.
-	Debug bool
 }
 
 // Run simulates the workload dg on architecture arch with mapping m
@@ -93,7 +86,7 @@ func Run(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p schedule.Policy,
 	return RunOpt(arch, dg, m, p, Options{Edge: edge})
 }
 
-// RunOpt is Run with full Options (edge cost plus debug validation). It
+// RunOpt is Run with full Options (edge cost, dispatch plan). It
 // allocates a fresh State per call; callers simulating one compilation
 // repeatedly should hold a State and call State.Run.
 func RunOpt(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p schedule.Policy, opt Options) (*Result, error) {
@@ -192,11 +185,6 @@ func (st *State) Run(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p sche
 		res.Utilization = float64(sum) / (float64(arch.NumPEs) * float64(makespan))
 	}
 	res.PeakLiveElems = st.peakLive
-	if opt.Debug {
-		if err := check.Timeline(m, dg, p, res.Timeline, check.Options{EdgeCost: opt.Edge}); err != nil {
-			return nil, fmt.Errorf("sim: debug validation: %w", err)
-		}
-	}
 	return res, nil
 }
 
@@ -204,12 +192,8 @@ func (st *State) Run(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p sche
 // timeline items: only the makespan, the Eq. 2 utilization, and the
 // buffer peak are computed. On a warm State this path performs no
 // allocations — the fast path for degraded serving and sweeps that do
-// not render timelines. Options.Debug is rejected: the invariant
-// checker needs the full timeline.
+// not render timelines.
 func (st *State) RunCoarse(arch cim.Config, dg *deps.Graph, m *mapping.Mapping, p schedule.Policy, opt Options) (Coarse, error) {
-	if opt.Debug {
-		return Coarse{}, fmt.Errorf("sim: coarse run cannot validate (no timeline); use Run")
-	}
 	if err := st.prepare(arch, dg, m, p, opt); err != nil {
 		return Coarse{}, err
 	}

@@ -164,15 +164,16 @@ func WithVirtualization(writeCyclesPerCrossbar int64, parallelism int) Option {
 	}
 }
 
-// WithValidation runs the engine-independent invariant checker
-// (internal/check) on every timeline the Engine schedules: topological
-// dependency order over the Stage II edge set, per-crossbar mutual
-// exclusion, window admission legality, Stage III/IV active-cycle
-// conservation, and makespan/metrics consistency. A violation fails the
-// request with a typed error instead of returning wrong numbers.
-// Validation costs roughly one extra pass over the timeline per
-// schedule; production services normally leave it off and rely on the
-// fuzz/CI coverage, while debugging and canary deployments turn it on.
+// WithValidation revalidates every EvaluateStream execution with the
+// engine-independent stream oracle (check.Stream): each inference's
+// timeline against the single-timeline invariant set, plus crossbar
+// exclusivity across inferences and models, arrival times, and the
+// MaxInFlight gate. A violation fails the request with a typed error.
+// It does not govern single timelines: the Engine always checks every
+// timeline it computes (check.Timeline, once per compilation and
+// mode). The stream oracle costs one extra pass over every inference's
+// timeline; production services normally leave it off, while
+// debugging and canary deployments turn it on.
 func WithValidation() Option {
 	return func(e *Engine) error {
 		e.validate = true

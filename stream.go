@@ -420,9 +420,6 @@ func (e *Engine) assembleStreamResult(req StreamRequest, comps []*Compiled, res 
 		if err != nil {
 			return nil, err
 		}
-		if err := e.checkReport(rep); err != nil {
-			return nil, err
-		}
 		mr := StreamModelResult{
 			Model:                c.ModelName,
 			Inferences:           len(perModel[i]),

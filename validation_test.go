@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// validation_test.go covers the WithValidation engine option: every
-// timeline the Engine produces is machine-checked by the
-// engine-independent invariant checker (internal/check).
+// validation_test.go covers timeline validation on the engine path:
+// every timeline the Engine produces is machine-checked by the
+// engine-independent invariant checker (internal/check), with or
+// without the WithValidation option (which adds the stream oracle).
 
 // TestWithValidationAcceptsAllModes: validation-on evaluation succeeds
 // across the policy family, mapping knobs, and data-movement costs —
@@ -22,8 +23,8 @@ func TestWithValidationAcceptsAllModes(t *testing.T) {
 		{Model: "tinyconvnet", Mode: ModeWindow(2)},
 		{Model: "tinybranchnet", Mode: ModeCrossLayer, ExtraPEs: 6, WeightDuplication: true},
 		{Model: "tinyyolov4", Mode: ModeCrossLayer, ExtraPEs: 16, WeightDuplication: true},
-		// Repeated request: served from the timeline cache, exercising
-		// the validate-once memoization path.
+		// Repeated request: served from the timeline cache, which holds
+		// only timelines that passed the check when computed.
 		{Model: "tinyconvnet", Mode: ModeLayerByLayer},
 	} {
 		ev, err := eng.Evaluate(context.Background(), req)
