@@ -27,6 +27,7 @@ import (
 	"clsacim/internal/schedule"
 	"clsacim/internal/sets"
 	"clsacim/internal/sim"
+	"clsacim/internal/stream"
 
 	"clsacim/internal/cim"
 )
@@ -417,6 +418,39 @@ func BenchmarkCheckTimeline(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := check.Timeline(m, dg, schedule.CrossLayer, tl, check.Options{}); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStreamRun measures the stream event loop (stream.Run) on the
+// Stage IV workload: 16 closed-loop inferences at concurrency 4 under
+// xinf with the compilation's prebuilt dispatch plan, the way
+// EvaluateStream drives it without validation.
+func BenchmarkStreamRun(b *testing.B) {
+	for _, w := range []struct {
+		name       string
+		targetSets int
+	}{{"fine", sets.FineGranularity}, {"s26", 26}} {
+		b.Run(w.name, func(b *testing.B) {
+			m, dg, _ := stageIVWorkload(b, w.targetSets)
+			wl := stream.Workload{
+				FabricPEs: m.F,
+				Models: []stream.ModelSpec{{Graph: dg, Mapping: m, Policy: schedule.CrossLayer,
+					Dispatch: schedule.NewDispatch(dg, schedule.CrossLayer)}},
+				Sequence:    make([]int, 16),
+				Concurrency: 4,
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := stream.Run(context.Background(), wl, stream.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.MakespanCycles <= 0 {
+					b.Fatal("empty stream")
 				}
 			}
 		})

@@ -13,7 +13,10 @@
 //
 //   - Every job instantiates the shared, immutable Stage III dispatch
 //     plan (schedule.Dispatch) of its model and keeps only per-job
-//     cursors, dependency counters, and window state.
+//     cursors, dependency counters, and window state. The per-set
+//     counters of a retired job go back on a per-model free list for the
+//     next admission, so per-set memory is bounded by the jobs in
+//     flight, not by the stream length.
 //   - Each replica PE group is a physical resource serving the jobs of
 //     its model strictly FIFO in per-model issue order: a group starts
 //     inference j+1's sets only after finishing its share of inference
@@ -30,10 +33,15 @@
 //
 // The oracle for all of this is check.Stream, which revalidates every
 // per-job timeline plus the cross-inference invariants from scratch;
-// Options.Debug wires it in.
+// Options.Debug wires it in. Per-job timelines exist only for that
+// oracle: a run without Debug reports lifecycles, the queue trace and
+// PE activity and never materializes a timeline. Run honours its
+// context: the event loop polls it every few thousand events and
+// returns its error.
 package stream
 
 import (
+	"context"
 	"fmt"
 
 	"clsacim/internal/check"
@@ -55,6 +63,12 @@ type ModelSpec struct {
 	Policy  schedule.Policy
 	Edge    schedule.EdgeCostFn
 	PEBase  int
+	// Dispatch optionally supplies a precomputed Stage III dispatch plan
+	// for (Graph, Policy), as in sim.Options: it must come from
+	// schedule.NewDispatch for the same graph and a policy with the same
+	// Replica rule (every built-in policy shares the raster rule). Nil
+	// builds a fresh plan for the run.
+	Dispatch *schedule.Dispatch
 }
 
 // Workload is one stream scheduling problem.
@@ -82,8 +96,11 @@ type Options struct {
 	// j-MaxInFlight of the same model has fully completed. 0 disables
 	// the gate.
 	MaxInFlight int
-	// Debug revalidates the full stream against check.Stream before
-	// returning; a violation means an engine bug and fails the run.
+	// Debug builds every job's timeline, returns them in
+	// Result.Timelines, and revalidates the full stream against
+	// check.Stream before returning; a violation means an engine bug and
+	// fails the run. Without Debug no timeline is built: the timelines
+	// serve only the oracle.
 	Debug bool
 }
 
@@ -107,7 +124,8 @@ type Result struct {
 	// Jobs holds per-job lifecycle stats in issue order.
 	Jobs []JobStat
 	// Timelines holds each job's executed timeline in absolute stream
-	// time (Makespan = the job's own last completion), issue order.
+	// time (Makespan = the job's own last completion), issue order. It
+	// is built only under Options.Debug and is nil otherwise.
 	Timelines []*schedule.Timeline
 	// MakespanCycles is the completion time of the whole stream.
 	MakespanCycles int64
@@ -129,25 +147,30 @@ type payload struct {
 	id  int32
 }
 
-// jobState is the mutable execution state of one admitted job. The
-// large per-set arrays are released at completion; the timeline and the
-// per-group cursors (needed by the FIFO pop rule) survive.
-type jobState struct {
-	model   int
-	arrival int64
-	start   int64 // earliest item start, -1 until first start
-	end     int64
-
-	tl       *schedule.Timeline
-	depsLeft []int32 // unmet dependency count per flat set
-	readyAt  []int64 // max dependency completion (+edge cost) per flat set
-	pos      []int32 // completed-set cursor per model-local replica group
-
-	window    int
+// jobScratch is the per-set and per-layer state of a job in flight. A
+// retired job hands it to its model's free list and the next admission
+// of that model resets and reuses it.
+type jobScratch struct {
+	depsLeft  []int32 // unmet dependency count per flat set
+	readyAt   []int64 // max dependency completion (+edge cost) per flat set
 	gateOpen  []bool
 	setsLeft  []int32
 	layerDone []bool
-	frontier  int
+}
+
+// jobState is the mutable execution state of one admitted job. The
+// scratch is recycled at completion; the timeline (Debug only) and the
+// per-group cursors (needed by the FIFO pop rule) survive.
+type jobState struct {
+	jobScratch
+	model int
+	start int64 // earliest item start, -1 until first start
+
+	tl  *schedule.Timeline // nil unless Options.Debug
+	pos []int32            // completed-set cursor per model-local replica group
+
+	window   int
+	frontier int
 
 	remaining int // sets left until the job completes
 }
@@ -161,9 +184,16 @@ type fifoQueue struct {
 type engine struct {
 	w     Workload
 	gate  int
+	debug bool
 	disp  []*schedule.Dispatch // per model
 	csr   []*deps.CSR          // per model
 	peOff []int                // grpBase: global group id prefix per model
+	// indeg[mi] and layerSets[mi] are model mi's per-set dependency
+	// counts and per-layer set counts: the reset values of a job's
+	// scratch. free[mi] holds the scratch of retired jobs.
+	indeg     [][]int32
+	layerSets [][]int32
+	free      [][]jobScratch
 	// grpLayer[mi][lg] is the layer of model mi's local group lg.
 	grpLayer [][]int32
 	// conflicts[G] lists the groups of *other* models sharing a
@@ -184,7 +214,6 @@ type engine struct {
 	// donePerModel[mi] counts completed jobs of model mi (completions
 	// are provably in issue order under the FIFO discipline).
 	donePerModel []int
-	doneTotal    int
 	nextArrival  int // closed loop: next job index to spawn
 
 	queue eventq.Queue[payload]
@@ -195,13 +224,15 @@ type engine struct {
 }
 
 // Run executes the workload and returns the stream result. The run is
-// fully deterministic: identical inputs produce identical timelines.
-func Run(w Workload, opt Options) (*Result, error) {
+// fully deterministic: identical inputs produce identical results. A
+// cancelled or expired ctx stops the event loop within a few thousand
+// events, and Run returns ctx.Err().
+func Run(ctx context.Context, w Workload, opt Options) (*Result, error) {
 	if err := validate(w, opt); err != nil {
 		return nil, err
 	}
 	e := newEngine(w, opt)
-	res, err := e.run()
+	res, err := e.run(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -272,8 +303,12 @@ func newEngine(w Workload, opt Options) *engine {
 	e := &engine{
 		w:            w,
 		gate:         opt.MaxInFlight,
+		debug:        opt.Debug,
 		disp:         make([]*schedule.Dispatch, len(w.Models)),
 		csr:          make([]*deps.CSR, len(w.Models)),
+		indeg:        make([][]int32, len(w.Models)),
+		layerSets:    make([][]int32, len(w.Models)),
+		free:         make([][]jobScratch, len(w.Models)),
 		peOff:        make([]int, len(w.Models)+1),
 		grpLayer:     make([][]int32, len(w.Models)),
 		jobs:         make([]*jobState, len(w.Sequence)),
@@ -282,14 +317,28 @@ func newEngine(w Workload, opt Options) *engine {
 		nextAdmit:    make([]int, len(w.Models)),
 		donePerModel: make([]int, len(w.Models)),
 		res: &Result{
-			Jobs:      make([]JobStat, len(w.Sequence)),
-			Timelines: make([]*schedule.Timeline, len(w.Sequence)),
-			PEActive:  make([]int64, w.FabricPEs),
+			Jobs:     make([]JobStat, len(w.Sequence)),
+			PEActive: make([]int64, w.FabricPEs),
 		},
 	}
+	if opt.Debug {
+		e.res.Timelines = make([]*schedule.Timeline, len(w.Sequence))
+	}
 	for mi, s := range w.Models {
-		e.disp[mi] = schedule.NewDispatch(s.Graph, s.Policy)
-		e.csr[mi] = s.Graph.CSR
+		e.disp[mi] = s.Dispatch
+		if e.disp[mi] == nil {
+			e.disp[mi] = schedule.NewDispatch(s.Graph, s.Policy)
+		}
+		csr := s.Graph.CSR
+		e.csr[mi] = csr
+		e.indeg[mi] = make([]int32, csr.NumSets())
+		for i := range e.indeg[mi] {
+			e.indeg[mi][i] = csr.PredOff[i+1] - csr.PredOff[i]
+		}
+		e.layerSets[mi] = make([]int32, len(s.Graph.Plan.Layers))
+		for li := range s.Graph.Plan.Layers {
+			e.layerSets[mi][li] = int32(len(s.Graph.Plan.Layers[li].Sets))
+		}
 		e.peOff[mi+1] = e.peOff[mi] + e.disp[mi].NumReplicas()
 		gl := make([]int32, e.disp[mi].NumReplicas())
 		for li := 0; li < len(s.Graph.Plan.Layers); li++ {
@@ -368,7 +417,12 @@ func buildConflicts(specs []ModelSpec, peOff []int, total int) [][]int32 {
 	return conflicts
 }
 
-func (e *engine) run() (*Result, error) {
+// ctxPollMask sets how often the event loop polls its context: once
+// every ctxPollMask+1 events, so the common path pays nothing
+// measurable for cancellation.
+const ctxPollMask = 1<<12 - 1
+
+func (e *engine) run(ctx context.Context) (*Result, error) {
 	var now int64
 	if e.w.Arrivals != nil {
 		for j, t := range e.w.Arrivals {
@@ -386,7 +440,12 @@ func (e *engine) run() (*Result, error) {
 		e.nextArrival = n
 		e.admitAll(0)
 	}
-	for {
+	for n := 0; ; n++ {
+		if n&ctxPollMask == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		ev, ok := e.queue.Pop()
 		if !ok {
 			break
@@ -453,40 +512,46 @@ func (e *engine) admitAll(now int64) {
 	}
 }
 
-// admit instantiates job j's execution state, enqueues it on every
-// replica group of its model, and starts whatever the window allows.
+// admit instantiates job j's execution state (recycling a retired job's
+// scratch when the model has one), enqueues it on every replica group of
+// its model, and starts whatever the window allows.
 func (e *engine) admit(j int32, now int64) {
 	mi := e.w.Sequence[j]
 	s := e.w.Models[mi]
-	csr := e.csr[mi]
-	ns := csr.NumSets()
-	nl := len(s.Graph.Plan.Layers)
 	jb := &jobState{
 		model:     mi,
-		arrival:   e.res.Jobs[j].Arrival,
 		start:     -1,
-		tl:        schedule.NewTimeline(s.Graph, s.Policy),
-		depsLeft:  make([]int32, ns),
-		readyAt:   make([]int64, ns),
 		pos:       make([]int32, e.disp[mi].NumReplicas()),
 		window:    s.Policy.Window(),
-		gateOpen:  make([]bool, nl),
-		setsLeft:  make([]int32, nl),
-		layerDone: make([]bool, nl),
-		remaining: ns,
+		remaining: len(e.indeg[mi]),
 	}
-	for li := range s.Graph.Plan.Layers {
-		jb.setsLeft[li] = int32(len(s.Graph.Plan.Layers[li].Sets))
+	if f := e.free[mi]; len(f) > 0 {
+		jb.jobScratch = f[len(f)-1]
+		e.free[mi] = f[:len(f)-1]
+		clear(jb.readyAt)
+		clear(jb.gateOpen)
+		clear(jb.layerDone)
+	} else {
+		ns, nl := len(e.indeg[mi]), len(e.layerSets[mi])
+		jb.jobScratch = jobScratch{
+			depsLeft:  make([]int32, ns),
+			readyAt:   make([]int64, ns),
+			gateOpen:  make([]bool, nl),
+			setsLeft:  make([]int32, nl),
+			layerDone: make([]bool, nl),
+		}
 	}
-	for i := 0; i < ns; i++ {
-		jb.depsLeft[i] = csr.PredOff[i+1] - csr.PredOff[i]
+	copy(jb.depsLeft, e.indeg[mi])
+	copy(jb.setsLeft, e.layerSets[mi])
+	if e.debug {
+		jb.tl = schedule.NewTimeline(s.Graph, s.Policy)
+		e.res.Timelines[j] = jb.tl
 	}
 	e.jobs[j] = jb
 	base := e.peOff[mi]
 	for g := 0; g < e.disp[mi].NumReplicas(); g++ {
 		e.fifo[base+g].q = append(e.fifo[base+g].q, j)
 	}
-	e.res.Timelines[j] = jb.tl
 	e.openGates(j, now)
 }
 
@@ -571,8 +636,10 @@ func (e *engine) tryStart(G int, now int64) {
 		}
 		end := start + csr.Cycles[id]
 		e.busy[G] = true
-		rep := int(lg - d.RepOff[li])
-		jb.tl.Items[id] = schedule.Item{Layer: li, Set: si, Replica: rep, Start: start, End: end}
+		if jb.tl != nil {
+			rep := int(lg - d.RepOff[li])
+			jb.tl.Items[id] = schedule.Item{Layer: li, Set: si, Replica: rep, Start: start, End: end}
+		}
 		if jb.start < 0 || start < jb.start {
 			jb.start = start
 		}
@@ -587,38 +654,52 @@ func (e *engine) tryStart(G int, now int64) {
 // window, and — when the job's last set finishes — retires the job,
 // releases its admission-gate slot, and (closed loop) spawns the next
 // arrival.
+//
+// A successor's group is retried only when the retry can start
+// something. After every event no idle group is startable: each change
+// that can make one startable (a dependency count reaching 0, a gate
+// opening, an admission, a group or its conflicting group being freed)
+// is followed by tryStart on it. Within the successor loop only the
+// successors' dependency counts, G (just freed) and the groups
+// conflicting with G change state. A successor lies in a later layer, so
+// its group is never G itself; unless G has conflicts, a retry whose set
+// still waits on dependencies would be a no-op, and skipping it keeps
+// every start, and every event sequence number, unchanged.
 func (e *engine) complete(ev payload, now int64) {
 	jb := e.jobs[ev.job]
 	mi := jb.model
-	s := e.w.Models[mi]
+	edge := e.w.Models[mi].Edge
 	csr := e.csr[mi]
 	d := e.disp[mi]
 	li := int(csr.SetLayer[ev.id])
 	si := int(ev.id - csr.LayerOff[li])
 	lg := d.RepOf[ev.id] // O(1) inverse of the policy's Replica rule
-	rep := int(lg - d.RepOff[li])
 	G := e.peOff[mi] + int(lg)
 
 	cycles := csr.Cycles[ev.id]
 	e.grpAct[G] += cycles
-	jb.tl.LayerActive[li] += cycles
-	jb.tl.ReplicaActive[li][rep] += cycles
+	if jb.tl != nil {
+		jb.tl.LayerActive[li] += cycles
+		jb.tl.ReplicaActive[li][int(lg-d.RepOff[li])] += cycles
+	}
 
 	e.busy[G] = false
 	jb.pos[lg]++
 
+	shared := len(e.conflicts[G]) > 0
 	for x := csr.SuccOff[ev.id]; x < csr.SuccOff[ev.id+1]; x++ {
 		cid := csr.Succ[x]
-		cl := int(csr.SetLayer[cid])
-		cost := int64(0)
-		if s.Edge != nil {
-			cost = s.Edge(deps.SetRef{Layer: li, Set: si, Vol: int(csr.SuccVol[x])}, cl)
+		t := now
+		if edge != nil {
+			t += edge(deps.SetRef{Layer: li, Set: si, Vol: int(csr.SuccVol[x])}, int(csr.SetLayer[cid]))
 		}
-		if t := now + cost; t > jb.readyAt[cid] {
+		if t > jb.readyAt[cid] {
 			jb.readyAt[cid] = t
 		}
 		jb.depsLeft[cid]--
-		e.tryStart(e.peOff[mi]+int(d.RepOf[cid]), now)
+		if jb.depsLeft[cid] == 0 || shared {
+			e.tryStart(e.peOff[mi]+int(d.RepOf[cid]), now)
+		}
 	}
 
 	jb.setsLeft[li]--
@@ -665,21 +746,21 @@ func (e *engine) bookPEActivity() {
 
 // retire finalizes a completed job: per-job makespan, lifecycle stats,
 // queue sample, admission-gate release, and the closed-loop respawn.
-// The large per-set arrays are dropped; the timeline and the per-group
-// cursors (still consulted by the FIFO pop rule) are kept.
+// The scratch goes to the model's free list; the timeline and the
+// per-group cursors (still consulted by the FIFO pop rule) are kept.
 func (e *engine) retire(j int32, t int64) {
 	jb := e.jobs[j]
-	jb.end = t
-	jb.tl.Makespan = t
+	if jb.tl != nil {
+		jb.tl.Makespan = t
+	}
 	e.res.Jobs[j].Model = jb.model
 	e.res.Jobs[j].Start = jb.start
 	e.res.Jobs[j].End = t
 	e.depth--
 	e.sampleQueue(t)
 	e.donePerModel[jb.model]++
-	e.doneTotal++
-	jb.depsLeft, jb.readyAt = nil, nil
-	jb.gateOpen, jb.setsLeft, jb.layerDone = nil, nil, nil
+	e.free[jb.model] = append(e.free[jb.model], jb.jobScratch)
+	jb.jobScratch = jobScratch{}
 	if e.w.Arrivals == nil && e.nextArrival < len(e.w.Sequence) {
 		e.arrive(int32(e.nextArrival), t)
 		e.nextArrival++

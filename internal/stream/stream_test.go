@@ -1,6 +1,11 @@
 package stream_test
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -9,6 +14,7 @@ import (
 	"clsacim/internal/im2col"
 	"clsacim/internal/mapping"
 	"clsacim/internal/models"
+	"clsacim/internal/nn"
 	"clsacim/internal/schedule"
 	"clsacim/internal/sets"
 	"clsacim/internal/stream"
@@ -23,7 +29,13 @@ type compiled struct {
 // model at coarse granularity.
 func compile(t *testing.T, id models.ID, targetSets int) compiled {
 	t.Helper()
-	g := models.MustBuild(id, models.Options{})
+	return compileGraph(t, models.MustBuild(id, models.Options{}), 0, targetSets)
+}
+
+// compileGraph compiles g onto PEmin+extra crossbars (dp duplication
+// when extra > 0) at the given Stage I granularity.
+func compileGraph(t *testing.T, g *nn.Graph, extra, targetSets int) compiled {
+	t.Helper()
 	if _, err := frontend.Canonicalize(g, frontend.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -31,11 +43,15 @@ func compile(t *testing.T, id models.ID, targetSets int) compiled {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := mapping.Solve(plan, plan.MinPEs, mapping.SolverNone)
+	solver := mapping.SolverNone
+	if extra > 0 {
+		solver = mapping.SolverDP
+	}
+	sol, err := mapping.Solve(plan, plan.MinPEs+extra, solver)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := mapping.Apply(g, plan, sol, plan.MinPEs)
+	m, err := mapping.Apply(g, plan, sol, plan.MinPEs+extra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +99,7 @@ func TestClosedLoopSerialMatchesSchedule(t *testing.T) {
 			t.Fatal(err)
 		}
 		const n = 3
-		res, err := stream.Run(stream.Workload{
+		res, err := stream.Run(context.Background(), stream.Workload{
 			FabricPEs:   c.m.F,
 			Models:      []stream.ModelSpec{spec(c, p, 0)},
 			Sequence:    repeat(0, n),
@@ -117,7 +133,7 @@ func TestPipelinedBeatsSerial(t *testing.T) {
 	c := compile(t, models.TinyYOLOv4, 8)
 	single := singleMakespan(t, c, schedule.CrossLayer)
 	const n = 6
-	res, err := stream.Run(stream.Workload{
+	res, err := stream.Run(context.Background(), stream.Workload{
 		FabricPEs:   c.m.F,
 		Models:      []stream.ModelSpec{spec(c, schedule.CrossLayer, 0)},
 		Sequence:    repeat(0, n),
@@ -138,7 +154,7 @@ func TestGateSerializes(t *testing.T) {
 	c := compile(t, models.TinyYOLOv4, 8)
 	single := singleMakespan(t, c, schedule.CrossLayer)
 	const n = 4
-	res, err := stream.Run(stream.Workload{
+	res, err := stream.Run(context.Background(), stream.Workload{
 		FabricPEs:   c.m.F,
 		Models:      []stream.ModelSpec{spec(c, schedule.CrossLayer, 0)},
 		Sequence:    repeat(0, n),
@@ -160,7 +176,7 @@ func TestDisjointPoolsAreIndependent(t *testing.T) {
 	p := schedule.CrossLayer
 	seq := []int{0, 1, 0, 1}
 	arr := []int64{0, 0, 0, 0}
-	res, err := stream.Run(stream.Workload{
+	res, err := stream.Run(context.Background(), stream.Workload{
 		FabricPEs: a.m.F + b.m.F,
 		Models:    []stream.ModelSpec{spec(a, p, 0), spec(b, p, a.m.F)},
 		Sequence:  seq,
@@ -190,7 +206,7 @@ func TestSharedPoolTwoModelsValidated(t *testing.T) {
 	if b.m.F > fabric {
 		fabric = b.m.F
 	}
-	res, err := stream.Run(stream.Workload{
+	res, err := stream.Run(context.Background(), stream.Workload{
 		FabricPEs: fabric,
 		Models:    []stream.ModelSpec{spec(a, p, 0), spec(b, p, 0)},
 		Sequence:  []int{0, 1, 0, 1},
@@ -215,7 +231,7 @@ func TestOpenLoopArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := stream.Run(stream.Workload{
+	res, err := stream.Run(context.Background(), stream.Workload{
 		FabricPEs: c.m.F,
 		Models:    []stream.ModelSpec{spec(c, schedule.CrossLayer, 0)},
 		Sequence:  repeat(0, len(arr)),
@@ -277,9 +293,153 @@ func TestRunRejectsBadWorkloads(t *testing.T) {
 	for _, tc := range cases {
 		w, o := good, stream.Options{}
 		tc.mut(&w, &o)
-		_, err := stream.Run(w, o)
+		_, err := stream.Run(context.Background(), w, o)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// Timelines are built only for the oracle: a Debug-off run must report
+// exactly what the Debug run reports (which check.Stream revalidates on
+// the way) and build no timeline. Random CNNs cover single-model,
+// disjoint and shared-pool two-model workloads under every admission
+// gate, closed-loop and Poisson arrivals, with and without an edge cost.
+func TestDebugOffMatchesDebugOn(t *testing.T) {
+	edge := func(pred deps.SetRef, toLayer int) int64 {
+		return int64(pred.Vol%7) + int64(toLayer-pred.Layer)
+	}
+	arr, err := stream.PoissonArrivals(5, 10, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := []int64{1, 2, 3, 4}
+	if testing.Short() {
+		seeds = seeds[:2]
+	}
+	for _, seed := range seeds {
+		// Canonicalize mutates the graph, so each granularity rebuilds it.
+		targetSets := 4
+		if seed%2 == 0 {
+			targetSets = sets.FineGranularity
+		}
+		ga, err := models.RandomCNN(models.RandomOptions{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gb, err := models.RandomCNN(models.RandomOptions{Seed: seed + 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := compileGraph(t, ga, int(seed%3), targetSets), compileGraph(t, gb, 2, targetSets)
+		fabric := a.m.F
+		if b.m.F > fabric {
+			fabric = b.m.F
+		}
+		mix := []int{0, 1, 1, 0, 1, 0, 0, 1, 0, 1}
+		pools := []struct {
+			name   string
+			fabric int
+			specs  func(p schedule.Policy) []stream.ModelSpec
+			seq    []int
+		}{
+			{"single", a.m.F, func(p schedule.Policy) []stream.ModelSpec {
+				return []stream.ModelSpec{spec(a, p, 0)}
+			}, repeat(0, len(mix))},
+			{"disjoint", a.m.F + b.m.F, func(p schedule.Policy) []stream.ModelSpec {
+				return []stream.ModelSpec{spec(a, p, 0), spec(b, p, a.m.F)}
+			}, mix},
+			{"shared", fabric, func(p schedule.Policy) []stream.ModelSpec {
+				return []stream.ModelSpec{spec(a, p, 0), spec(b, p, 0)}
+			}, mix},
+		}
+		for _, pool := range pools {
+			for _, p := range []schedule.Policy{schedule.LayerByLayer, schedule.CrossLayer} {
+				for _, ec := range []schedule.EdgeCostFn{nil, edge} {
+					for _, arrivals := range [][]int64{nil, arr} {
+						for _, gate := range []int{0, 1, 2} {
+							specs := pool.specs(p)
+							for i := range specs {
+								specs[i].Edge = ec
+							}
+							w := stream.Workload{FabricPEs: pool.fabric, Models: specs,
+								Sequence: pool.seq, Arrivals: arrivals, Concurrency: 3}
+							name := fmt.Sprintf("seed=%d %s %s edge=%v poisson=%v gate=%d",
+								seed, pool.name, p.Name(), ec != nil, arrivals != nil, gate)
+							want, err := stream.Run(context.Background(), w, stream.Options{MaxInFlight: gate, Debug: true})
+							if err != nil {
+								t.Fatalf("%s: debug run: %v", name, err)
+							}
+							got, err := stream.Run(context.Background(), w, stream.Options{MaxInFlight: gate})
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							if got.Timelines != nil {
+								t.Fatalf("%s: Debug-off run built %d timelines", name, len(got.Timelines))
+							}
+							if len(want.Timelines) != len(w.Sequence) {
+								t.Fatalf("%s: Debug run returned %d timelines for %d jobs", name, len(want.Timelines), len(w.Sequence))
+							}
+							if got.MakespanCycles != want.MakespanCycles ||
+								!reflect.DeepEqual(got.Jobs, want.Jobs) ||
+								!reflect.DeepEqual(got.Queue, want.Queue) ||
+								!reflect.DeepEqual(got.PEActive, want.PEActive) {
+								t.Fatalf("%s: Debug-off result differs from the Debug run", name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Without Debug the per-set state lives only as long as a job is in
+// flight: a retired job's scratch is reused by the next admission and
+// no per-set timeline is built, so serving 24 more inferences at
+// concurrency 2 must cost well under 8 bytes per set per inference.
+// (A timeline item alone is 40 bytes per set.)
+func TestRunMemoryBoundedByJobsInFlight(t *testing.T) {
+	c := compile(t, models.TinyYOLOv4, 64)
+	run := func(n int) uint64 {
+		w := stream.Workload{
+			FabricPEs:   c.m.F,
+			Models:      []stream.ModelSpec{spec(c, schedule.CrossLayer, 0)},
+			Sequence:    repeat(0, n),
+			Concurrency: 2,
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := stream.Run(context.Background(), w, stream.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run(8) // warm up lazily built state outside the stream engine
+	small, large := run(8), run(32)
+	t.Logf("%d sets: 8 inferences %d B, 32 inferences %d B", c.dg.CSR.NumSets(), small, large)
+	limit := uint64(24 * c.dg.CSR.NumSets() * 8)
+	if large < small || large-small >= limit {
+		t.Fatalf("32 inferences allocate %d B, 8 allocate %d B: %d B more, want < %d B (24 x %d sets x 8 B)",
+			large, small, large-small, limit, c.dg.CSR.NumSets())
+	}
+}
+
+// Run honours its context: a cancelled context stops the event loop and
+// surfaces the context's error.
+func TestRunHonoursContext(t *testing.T) {
+	c := compile(t, models.TinyYOLOv4, 8)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := stream.Run(ctx, stream.Workload{
+		FabricPEs:   c.m.F,
+		Models:      []stream.ModelSpec{spec(c, schedule.CrossLayer, 0)},
+		Sequence:    repeat(0, 4),
+		Concurrency: 2,
+	}, stream.Options{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
 }

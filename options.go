@@ -172,8 +172,10 @@ func WithVirtualization(writeCyclesPerCrossbar int64, parallelism int) Option {
 // It does not govern single timelines: the Engine always checks every
 // timeline it computes (check.Timeline, once per compilation and
 // mode). The stream oracle costs one extra pass over every inference's
-// timeline; production services normally leave it off, while
-// debugging and canary deployments turn it on.
+// timeline, and it also pays for building those timelines: without it
+// the stream engine materializes none and keeps per-set state only for
+// the inferences in flight. Production services normally leave it off,
+// while debugging and canary deployments turn it on.
 func WithValidation() Option {
 	return func(e *Engine) error {
 		e.validate = true

@@ -297,6 +297,9 @@ func (e *Engine) EvaluateStream(ctx context.Context, req StreamRequest) (*Stream
 			Policy:  mode.policy(),
 			Edge:    c.schedOptions(mode).EdgeCost,
 			PEBase:  base,
+			// Every built-in policy shares the raster Replica rule, so
+			// the compilation's cached plan serves every mode.
+			Dispatch: c.dispatch(),
 		}
 	}
 
@@ -329,7 +332,7 @@ func (e *Engine) EvaluateStream(ctx context.Context, req StreamRequest) (*Stream
 		return nil, err
 	}
 
-	res, err := stream.Run(w, stream.Options{MaxInFlight: req.MaxInFlight, Debug: e.validate})
+	res, err := stream.Run(ctx, w, stream.Options{MaxInFlight: req.MaxInFlight, Debug: e.validate})
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,10 @@ package clsacim
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 // coarseStreamEngine keeps stream tests fast: coarse Stage I
@@ -270,5 +272,36 @@ func TestEvaluateStreamStatsCountServedJobs(t *testing.T) {
 	}
 	if s3 := e.Stats(); s3.CacheHits != 2 || s3.PartialHits != 1 {
 		t.Errorf("after new-mode stream: hits=%d partial=%d, want 2/1", s3.CacheHits, s3.PartialHits)
+	}
+}
+
+// A stream's deadline bounds the streamed run itself, not only the work
+// around it: the event loop polls the request context, so a 64-inference
+// fine-granularity stream that needs far longer than its 20 ms budget
+// returns context.DeadlineExceeded within a small multiple of it.
+func TestEvaluateStreamDeadlineStopsRun(t *testing.T) {
+	e := MustNew()
+	req := StreamRequest{
+		Models:     []StreamModel{{Model: "tinyyolov4", ExtraPEs: 32, WeightDuplication: true}},
+		Inferences: 1,
+		Mode:       ModeCrossLayer,
+		Arrival:    ArrivalProcess{Kind: "closed", Concurrency: 4},
+	}
+	// Compile outside the deadline: a compile that has started cannot be
+	// interrupted yet, and this test pins the stream loop.
+	if _, err := e.EvaluateStream(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	req.Inferences = 64
+	req.TimeoutMillis = 20
+	start := time.Now()
+	_, err := e.EvaluateStream(context.Background(), req)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("EvaluateStream past its deadline returned %v, want context.DeadlineExceeded", err)
+	}
+	if limit := 25 * time.Duration(req.TimeoutMillis) * time.Millisecond; elapsed > limit {
+		t.Fatalf("EvaluateStream with a %d ms deadline returned after %v, want < %v",
+			req.TimeoutMillis, elapsed, limit)
 	}
 }
